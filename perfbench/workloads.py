@@ -5,7 +5,8 @@ W regimes, the same (lambda, sign of c0) pairs, the same degrees, the same
 verify suites in every round); the seed and the round index draw only the
 parameters inside it.  So every round does the same kind and amount of work,
 the share of failed operations is the same in every run, and the traced run's
-per-operation counts depend neither on the seed nor on the run length.
+per-operation counts do not depend on the run length (nor on the seed, except
+the radial counts of borel-solve, whose printed families vary with lambda).
 
 The checks share no code with what they check: W against `mpmath.whitw`,
 the radial systems through a_i d/da_i derivatives taken here by finite
