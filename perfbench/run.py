@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -28,6 +29,14 @@ WORKLOAD_NAMES = ("w-domain", "siegel-residual", "borel-solve", "verify-suites")
 # set-up is timed this many times in fresh interpreters and the median kept,
 # because one cold import alone drifts by several per cent between runs
 SETUP_SAMPLES = 3
+# peak RSS is read after this many rounds (or at the end of a shorter run):
+# the climb keeps memory per distinct point, so over a whole timed phase the
+# peak would grow with speed rather than with memory per operation
+RSS_ROUNDS = 4
+# the timed phase moves to the next allowed CPU at the first operation
+# boundary after this many seconds, so that a run does not depend on which
+# CPU it landed on; the CPUs of a shared machine can run at different speeds
+CPU_SWITCH_S = 0.5
 
 
 def parse_args(argv):
@@ -77,8 +86,12 @@ def measure_setup(args, samples: int) -> float:
 
 def timed_phase(wl, seconds: float, trace=None):
     """Whole rounds: min_rounds, then more while one more round of the mean
-    length so far still ends within `seconds`."""
+    length so far still ends within `seconds`.  Returns the results, the
+    latencies, the phase's wall time and the peak RSS in KiB after RSS_ROUNDS."""
     results, latencies = [], []
+    allowed = sorted(os.sched_getaffinity(0))
+    switches, last_switch = 0, time.perf_counter()
+    rss_kb = None
     r = 0
     t_start = time.perf_counter()
     while True:
@@ -86,6 +99,10 @@ def timed_phase(wl, seconds: float, trace=None):
         if r >= wl.min_rounds and elapsed * (r + 1) / r > seconds:
             break
         for k, op in enumerate(wl.round(r)):
+            if len(allowed) > 1 and time.perf_counter() - last_switch > CPU_SWITCH_S:
+                switches += 1
+                os.sched_setaffinity(0, {allowed[switches % len(allowed)]})
+                last_switch = time.perf_counter()
             t0 = time.perf_counter()
             try:
                 if trace is None:
@@ -98,7 +115,13 @@ def timed_phase(wl, seconds: float, trace=None):
             latencies.append(time.perf_counter() - t0)
             results.append((op, out, err))
         r += 1
-    return results, latencies, time.perf_counter() - t_start
+        if r == RSS_ROUNDS:
+            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    phase_s = time.perf_counter() - t_start
+    os.sched_setaffinity(0, allowed)
+    if rss_kb is None:
+        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return results, latencies, phase_s, rss_kb
 
 
 def verdicts(wl, results) -> tuple[int, bool]:
@@ -139,11 +162,9 @@ def run_one(args) -> int:
         wl = cls(args.seed, args.smoke, trace_dir if args.trace else None)
     else:
         wl = cls(args.seed, args.smoke)
-    results, latencies, phase_s = timed_phase(wl, args.seconds, trace)
+    results, latencies, phase_s, peak_kb = timed_phase(wl, args.seconds, trace)
     if cls is workloads.VerifySuites:
         peak_kb = max(out[3] for _, out, err in results if err is None)
-    else:
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if trace is not None:
         trace.uninstall()
     failed, correct = verdicts(wl, results)
