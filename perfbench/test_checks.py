@@ -41,9 +41,35 @@ def test_w_value_perturbed_by_1e_8_relative_fails():
 def test_known_fault_points_fail_every_round():
     wl = W.WDomain(7, smoke=True)
     for r in (0, 31):
-        ops = [op for op in wl.round(r) if wl.known_fault(op)]
+        ops = [op for op in wl.round(r) if op[0] == "climb-known-fault"]
         assert len(ops) == len(W.W_KNOWN_FAULT)
         assert not any(wl.check([(op, wl.run(op)) for op in ops]))
+
+
+def test_known_crash_raises_every_round():
+    wl = W.WDomain(7, smoke=True)
+    for r in (0, 1):
+        ops = [op for op in wl.round(r) if op[0] == "climb-known-crash"]
+        assert len(ops) == 1 and wl.known_fault(ops[0])
+        with pytest.raises(ZeroDivisionError):
+            wl.run(ops[0])
+
+
+def test_contiguous_w_value_perturbed_by_1e_8_relative_fails():
+    wl = W.WContiguous(4, smoke=True)
+    ops = wl.round(0)
+    results = [(op, wl.run(op)) for op in ops]
+    assert all(wl.check(results))
+    for op, got in results:
+        if op[0] == "oracle":
+            assert not wl.judge(op, got * (1.0 + 3e-8), None)
+            continue
+        good = wl.neighbours(op)
+        for k in range(len(good)):
+            bad = list(good)
+            bad[k] = (bad[k][0], bad[k][1] * (1.0 + 1e-8))
+            assert not wl.judge(op, got, bad)
+        assert not wl.judge(op, dict(got, status="FAIL"), good)
 
 
 def _borel_result(lam=(4, -1)):
@@ -121,7 +147,7 @@ def _run(workload, *extra, cwd=HERE.parent, script=HERE / "run.py"):
                           capture_output=True, text=True, timeout=170, cwd=cwd)
 
 
-@pytest.mark.parametrize("workload", ["w-domain", "siegel-residual",
+@pytest.mark.parametrize("workload", ["w-domain", "w-contiguous", "siegel-residual",
                                       "borel-solve", "verify-suites"])
 def test_smoke_run(workload):
     proc = _run(workload)
@@ -133,12 +159,12 @@ def test_smoke_run(workload):
     assert all(m["value"] > 0 for m in res["metrics"].values())
     if workload == "w-domain":
         per_round = len(W.WDomain(3, smoke=True).round(0))
-        assert res["failed"] * per_round == len(W.W_KNOWN_FAULT) * res["attempted"]
+        assert res["failed"] * per_round == (len(W.W_KNOWN_FAULT) + 1) * res["attempted"]
     else:
         assert res["failed"] == 0
 
 
-@pytest.mark.parametrize("workload", ["siegel-residual", "borel-solve"])
+@pytest.mark.parametrize("workload", ["w-contiguous", "siegel-residual", "borel-solve"])
 def test_traced_counts_repeat(workload):
     bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     names = {m["name"] for m in bench["per_layer"]}

@@ -124,6 +124,8 @@ class Tracer:
                 self.counts["w.repeat_in_op"] += 1
             self._seen_op.add(key)
             first = key not in self._seen_process
+            if not first:
+                self.counts["w.repeat_in_process"] += 1
             self._seen_process.add(key)
 
             def on_end(dur):
@@ -185,6 +187,8 @@ def install(tracer: Tracer) -> Tracer:
     span = tracer.span_wrapper
     count = tracer.count_wrapper
     tracer.patch_function(specialfns, "whittaker_w", tracer.w_wrapper)
+    for fn in ("whittaker_w_oracle", "check_contiguous"):
+        tracer.patch_function(specialfns, fn, lambda f, n=f"specialfns.{fn}": span(n, f))
     for fn in ("radial_system_residual", "raising_lowering_check",
                "borel_recurrence_solve", "compare_borel_formulas"):
         tracer.patch_function(solutions, fn, lambda f, n=f"solutions.{fn}": span(n, f))
@@ -241,6 +245,10 @@ def layer_metrics(s: dict) -> dict:
         "specialfns.w_calls": w_calls / ops,
         "specialfns.w_repeat_share": (counts.get("w.repeat_in_op", 0) / w_calls
                                       if w_calls else 0.0),
+        "specialfns.w_process_repeat_share": (counts.get("w.repeat_in_process", 0) / w_calls
+                                              if w_calls else 0.0),
+        "specialfns.oracle_ms": per_call("specialfns.whittaker_w_oracle", 1e6),
+        "specialfns.check_contiguous_ms": per_call("specialfns.check_contiguous", 1e6),
         "radial.evaluate_us": per_call("radial.evaluate", 1e3),
         "radial.d1_calls": counts.get("radial.d1", 0) / ops,
         "radial.d2_calls": counts.get("radial.d2", 0) / ops,

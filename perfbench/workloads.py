@@ -1,4 +1,4 @@
-"""The four workloads: seeded inputs, one operation each, and their checks.
+"""The five workloads: seeded inputs, one operation each, and their checks.
 
 Every workload runs in whole rounds.  A round has a fixed make-up (the same
 W regimes, the same (lambda, sign of c0) pairs, the same degrees, the same
@@ -27,6 +27,7 @@ from pathlib import Path
 import mpmath as mp
 
 import sp4whittaker as sp
+import sp4whittaker.specialfns as specialfns
 from sp4whittaker.solutions import radial_system
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,11 +48,24 @@ class Workload:
 
     name = ""
     min_rounds = 1
+    # peak RSS is read after this many rounds (or at the end of a shorter
+    # run): the climb keeps memory per distinct point, so over a whole timed
+    # phase the peak would grow with speed rather than with memory per operation
+    rss_rounds = 4
+
+    def __init__(self, seed: int, smoke: bool = False, trace_dir: Path | None = None):
+        self.seed = seed
+        self.smoke = smoke
 
     @staticmethod
     def known_fault(op) -> bool:
         """True for an input on which the package is known to fail."""
         return False
+
+    def peak_kb(self, results, own_kb: int) -> int:
+        """Peak RSS in KiB of the process that did the work."""
+        return own_kb
+
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +96,31 @@ W_CLIMB_SEED_A = (0.6, 0.98)
 # difference that can be exactly 1: whittaker_w then raises
 # ZeroDivisionError at isolated points, for instance
 # (9.436497230753048, 8.685935061211913, 0.11954596974306195).
+# The cut is kept because such points, while rare (none in 358 draws between
+# 2^75 and 2^100), would make the failed count depend on the seed; the one
+# known point, W_KNOWN_CRASH, runs unchanged in every round instead.  lru_cache
+# keeps no exception, so every round repeats its whole failing climb.
 W_CLIMB_MAX_LOG2 = 75.0
+W_KNOWN_CRASH = (9.436497230753048, 8.685935061211913, 0.11954596974306195)
+
+
+def w_close(kappa, mu, y, value, tol: float = W_TOL) -> bool:
+    """value is W_{kappa,mu}(y) to tol relative, by mpmath.whitw at W_CHECK_DPS."""
+    with mp.workdps(W_CHECK_DPS):
+        ref = float(mp.whitw(kappa, mu, y))
+    return abs(value - ref) <= tol * abs(ref)
 
 
 def climb_seed_log2(mu: float, a_seed: float, y: float) -> float:
     b = 2.0 * mu - a_seed
     return (math.lgamma(a_seed + b) - b * math.log(y)) / math.log(2.0)
 W_MU_BINS = ((0.0, 2.25), (2.25, 4.5), (4.5, 6.75), (6.75, 9.0))
+# A climb cell's mu, y and seed a are drawn stratified over rounds: each
+# range is cut into W_STRATA strata, and rounds r, r + 1, ... r + W_STRATA - 1
+# visit every stratum once, in an order the seed fixes.  The climb latencies
+# of a run then sample the same spread of points whatever the seed, which
+# keeps their median from moving with the draw.
+W_STRATA = 8
 
 
 def _y_bins():
@@ -100,7 +132,8 @@ def _y_bins():
 
 class WDomain(Workload):
     """Round: 16 climb points (one per mu bin x y bin), the 4 known-fault
-    climb points, 8 integral points (2 per y bin) and 4 terminating points.
+    climb points, the known crash, 8 integral points (2 per y bin) and 4
+    terminating points.
 
     The median operation is a fast climb point.  Integral points all take
     about the same time, so on a machine whose two CPUs run at different
@@ -109,30 +142,36 @@ class WDomain(Workload):
 
     name = "w-domain"
 
-    def __init__(self, seed: int, smoke: bool = False):
-        self.seed = seed
-        self.smoke = smoke
+    def __init__(self, seed: int, smoke: bool = False, trace_dir: Path | None = None):
+        super().__init__(seed, smoke)
         self.y_bins = _y_bins()
+        order = _rng(self.name, seed, "strata")
+        self.strata = [[order.sample(range(W_STRATA), W_STRATA) for _ in range(3)]
+                       for _ in range(len(W_MU_BINS) * W_Y_BINS)]
 
     def round(self, r: int) -> list:
         rng = _rng(self.name, self.seed, r)
         ops = []
         mu_bins = W_MU_BINS[:1] if self.smoke else W_MU_BINS
         y_bins = self.y_bins[:1] if self.smoke else self.y_bins
-        for mlo, mhi in mu_bins:
-            for ylo, yhi in y_bins:
-                while True:
-                    mu = rng.uniform(mlo, mhi)
-                    a_seed = rng.uniform(*W_CLIMB_SEED_A)
-                    y = _log_uniform(rng, ylo, yhi)
-                    if climb_seed_log2(mu, a_seed, y) < W_CLIMB_MAX_LOG2:
-                        break
-                steps = rng.randint(1, math.floor(10.0 - (mu + 0.5 - a_seed)))
-                kappa = mu + 0.5 - a_seed + steps
-                ops.append(("climb", kappa, rng.choice((1, -1)) * mu, y))
+        cells = [(m, yb) for m in mu_bins for yb in y_bins]
+        for ((mlo, mhi), (ylo, yhi)), strata in zip(cells, self.strata):
+            s_mu, s_y, s_a = (perm[r % W_STRATA] for perm in strata)
+            a_lo, a_hi = W_CLIMB_SEED_A
+            while True:   # the cut rejects only part of the top-mu, low-y cell
+                mu = mlo + (s_mu + rng.random()) / W_STRATA * (mhi - mlo)
+                a_seed = a_lo + (s_a + rng.random()) / W_STRATA * (a_hi - a_lo)
+                y = ylo * (yhi / ylo) ** ((s_y + rng.random()) / W_STRATA)
+                if climb_seed_log2(mu, a_seed, y) < W_CLIMB_MAX_LOG2:
+                    break
+                s_mu, s_y = rng.randrange(W_STRATA), rng.randrange(W_STRATA)
+            steps = rng.randint(1, math.floor(10.0 - (mu + 0.5 - a_seed)))
+            kappa = mu + 0.5 - a_seed + steps
+            ops.append(("climb", kappa, rng.choice((1, -1)) * mu, y))
         scale = 1.0 + (r % 32) / 64.0
         for kappa, mu, y in W_KNOWN_FAULT:
             ops.append(("climb-known-fault", kappa, mu, y * scale))
+        ops.append(("climb-known-crash",) + W_KNOWN_CRASH)
         for ylo, yhi in y_bins:
             for _ in range(2):
                 mu = rng.uniform(0.0, 10.0)
@@ -162,23 +201,117 @@ class WDomain(Workload):
                     # kappa, W at small y differs in the leading digits
                     n = round(kappa - abs(mu) - 0.5)
                     kappa = mp.mpf(abs(mu)) + mp.mpf(1) / 2 + n
-                ref = float(mp.whitw(kappa, mu, y))
-                ok.append(abs(value - ref) <= W_TOL * abs(ref))
+                ok.append(w_close(kappa, mu, y, value))
         return ok
 
     @staticmethod
     def known_fault(op) -> bool:
-        return op[0] == "climb-known-fault"
+        return op[0] in ("climb-known-fault", "climb-known-crash")
 
+
+# ---------------------------------------------------------------------------
+# w-contiguous: the whittaker suite's contiguous-relation and oracle checks
+# ---------------------------------------------------------------------------
+
+# The y grid and the half-integer (kappa, mu) grid of `verify whittaker`.
+# There the climb pairs are kappa = |mu| + j, j >= 1, which seed the climb at
+# a = 1/2; check_contiguous evaluates W at kappa - 1, kappa and kappa + 1 and
+# at a finite-difference stencil around y, so a chain j = 1, 2, 3 at one
+# (mu, y) shares its neighbours.  A run makes only two or three rounds, and
+# the cost of a (mu, y) pair varies widely, so every round is the same but
+# for its scale: it pairs the i-th y of the grid with the i-th |mu|, takes
+# the same oracle points, and scales its grid by 1 + (r mod 32 + u)/1024,
+# where the seed draws u in [0, 1) and the signs of mu.  No input repeats
+# between rounds, and every round costs about the same.
+CONTIG_Y = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+CONTIG_HALF = tuple(k / 2.0 for k in range(-6, 7))
+CONTIG_MU = tuple(m for m in CONTIG_HALF if m >= 0.0)
+CONTIG_CHAIN = (1, 2, 3)
+CONTIG_TOL = 1e-8      # the tolerance check_contiguous and verify whittaker apply
+# The oracle at the 16 digits verify whittaker gives it, held to the 1e-8
+# agreement that suite asks of it: at a = 1/2 it is off by about 3e-10, the
+# same t^(a-1) endpoint that the climb's seed quadrature misses.
+ORACLE_DPS = 16
+ORACLE_TOL = 1e-8
+ORACLE_MIN_A = 0.25    # verify whittaker's oracle points keep a = |mu| - kappa + 1/2 > 0.25
+# Oracle calls per y.  In the suite the oracle takes about a fifth of the
+# time; 7 per y give it about that share of a round and most of its
+# operations, so the median operation is an oracle call.
+ORACLE_PER_Y = 7
+
+
+class WContiguous(Workload):
+    """Round: for each y of the scaled grid, check_contiguous at the chain
+    kappa = |mu| + 1, + 2, + 3 of its |mu| in CONTIG_MU, then ORACLE_PER_Y
+    whittaker_w_oracle calls at half-integer points of the suite's grid
+    with a > 0.25, drawn once in a fixed order."""
+
+    name = "w-contiguous"
+    min_rounds = 2
+    rss_rounds = 2
+
+    def __init__(self, seed: int, smoke: bool = False, trace_dir: Path | None = None):
+        super().__init__(seed, smoke)
+        points = [(k, m) for k in CONTIG_HALF for m in CONTIG_HALF
+                  if abs(m) - k + 0.5 > ORACLE_MIN_A]
+        random.Random(f"{self.name}/oracle").shuffle(points)
+        self.ys = CONTIG_Y[:2] if smoke else CONTIG_Y
+        per_y = 2 if smoke else ORACLE_PER_Y
+        self.oracle_points = [points[i * per_y:(i + 1) * per_y] for i in range(len(self.ys))]
+
+    def round(self, r: int) -> list:
+        rng = _rng(self.name, self.seed, r)
+        scale = 1.0 + (r % 32 + rng.random()) / 1024.0
+        ops = []
+        for y, mu, oracle in zip(self.ys, CONTIG_MU, self.oracle_points):
+            mu *= rng.choice((1, -1))
+            for j in CONTIG_CHAIN:
+                ops.append(("contiguous", abs(mu) + j, mu, y * scale))
+            for point in oracle:
+                ops.append(("oracle",) + point + (y * scale,))
+        return ops
+
+    @staticmethod
+    def run(op):
+        kind, kappa, mu, y = op
+        if kind == "oracle":
+            return specialfns.whittaker_w_oracle(kappa, mu, y, dps=ORACLE_DPS)
+        return specialfns.check_contiguous(specialfns.WhittakerIndex(kappa, mu), [y])
+
+    @staticmethod
+    def neighbours(op) -> list[tuple[float, float]]:
+        """(kappa', W_{kappa',mu}(y)) for the three kappa' the relations use.
+        Read after the timed phase, so the package's W cache serves the very
+        values check_contiguous was built from."""
+        _, kappa, mu, y = op
+        return [(k, sp.whittaker_w(kappa=k, mu=mu, y=y)) for k in (kappa - 1, kappa, kappa + 1)]
+
+    @classmethod
+    def check(cls, results) -> list[bool]:
+        return [cls.judge(op, got, None if op[0] == "oracle" else cls.neighbours(op))
+                for op, got in results]
+
+    @staticmethod
+    def judge(op, got, neighbours) -> bool:
+        kind, kappa, mu, y = op
+        if kind == "oracle":
+            return w_close(kappa, mu, y, got, ORACLE_TOL)
+        good = (got["status"] == "PASS" and got["max_residual"] < CONTIG_TOL
+                and [row["y"] for row in got["rows"]] == [y])
+        return good and all(w_close(k, mu, y, v) for k, v in neighbours)
 
 # ---------------------------------------------------------------------------
 # siegel-residual: build a moderate-growth family, check its radial system
 # ---------------------------------------------------------------------------
 
 SIEGEL_TOL = 1e-6    # the tolerance radial_system_residual applies
-# Both large chambers (type II, then type III) at d = 4, 6, ..., 14.
-SIEGEL_LAMBDAS = ((2, -1), (1, -2), (3, -2), (2, -3), (5, -2), (2, -5),
-                  (6, -3), (3, -6), (8, -3), (3, -8), (9, -4), (4, -9))
+# Both large chambers (type II, then type III) at d = 4, 5, 6, 8, ..., 14.
+# An operation's cost grows with d.  With the d = 5 pair, the median of a
+# round's 28 operations lies inside the group d = 4 to 8, whose latencies
+# are alike; with the even degrees alone it lay between the d = 8 and d = 10
+# groups and jumped from run to run.
+SIEGEL_LAMBDAS = ((2, -1), (1, -2), (3, -1), (1, -3), (3, -2), (2, -3), (5, -2),
+                  (2, -5), (6, -3), (3, -6), (8, -3), (3, -8), (9, -4), (4, -9))
 SIEGEL_GRID_POINTS = 15
 # y1 = a1/a2 and 4 pi |c0| stay where the W argument 4 pi |c0| y1 lies in
 # [0.25, 38], inside the box on which whittaker_w documents its accuracy.
@@ -193,8 +326,8 @@ class SiegelResidual(Workload):
 
     name = "siegel-residual"
 
-    def __init__(self, seed: int, smoke: bool = False):
-        self.seed = seed
+    def __init__(self, seed: int, smoke: bool = False, trace_dir: Path | None = None):
+        super().__init__(seed, smoke)
         self.lambdas = SIEGEL_LAMBDAS[:2] if smoke else SIEGEL_LAMBDAS
         self.npoints = 3 if smoke else SIEGEL_GRID_POINTS
 
@@ -292,10 +425,6 @@ class BorelSolve(Workload):
     seed orders the cluster and picks the flanks."""
 
     name = "borel-solve"
-
-    def __init__(self, seed: int, smoke: bool = False):
-        self.seed = seed
-        self.smoke = smoke
 
     def round(self, r: int) -> list:
         rng = _rng(self.name, self.seed, r)
@@ -462,10 +591,10 @@ class VerifySuites(Workload):
     name = "verify-suites"
     min_rounds = 2
 
-    def __init__(self, seed: int, smoke: bool = False, tracer_dir: Path | None = None):
-        self.seed = seed
+    def __init__(self, seed: int, smoke: bool = False, trace_dir: Path | None = None):
+        super().__init__(seed, smoke)
         self.suites = VERIFY_SMOKE_SUITES if smoke else VERIFY_SUITES
-        self.tracer_dir = tracer_dir
+        self.trace_dir = trace_dir
 
     def round(self, r: int) -> list:
         return [(suite, self.seed, r) for suite in self.suites]
@@ -473,14 +602,18 @@ class VerifySuites(Workload):
     def argv(self, op) -> list[str]:
         suite, seed, r = op
         args = ["verify", suite, "--seed", str(seed)]
-        if self.tracer_dir is None:
+        if self.trace_dir is None:
             return [sys.executable, "-m", "sp4whittaker.cli"] + args
-        summary = self.tracer_dir / f"verify-{suite}-{r}.json"
+        summary = self.trace_dir / f"verify-{suite}-{r}.json"
         return [sys.executable, str(Path(__file__).resolve().parent / "child.py"),
                 str(summary)] + args
 
     def run(self, op):
         return run_child(self.argv(op))
+
+    def peak_kb(self, results, own_kb: int) -> int:
+        """The largest child's: the suites run in the children."""
+        return max(out[3] for _, out, err in results if err is None)
 
     @staticmethod
     def check(results) -> list[bool]:
@@ -537,4 +670,5 @@ def verify_mismatches_agree(doc: dict) -> bool:
     return sorted(doc.get("expected_mismatches", [])) == sorted(expected)
 
 
-WORKLOADS = {w.name: w for w in (WDomain, SiegelResidual, BorelSolve, VerifySuites)}
+WORKLOADS = {w.name: w for w in (WDomain, WContiguous, SiegelResidual, BorelSolve,
+                                         VerifySuites)}
