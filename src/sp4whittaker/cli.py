@@ -16,6 +16,7 @@ from .report import dumps
 from .solutions import (DegenerateCharacter, ParameterError, blattner,
                         borel_recurrence_solve, borel_solution, classify,
                         compare_borel_formulas, siegel_solution)
+from .specialfns import WhittakerDomainError
 from .verify import run_suite
 
 _PARABOLIC_ALIASES = {"siegel": "P_S", "jacobi": "P_J", "minimal": "P_0",
@@ -41,6 +42,23 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
             raise ParameterError("grid points must be positive")
         pts.append((a1, a2))
     return pts
+
+
+def _parse_const(text: str) -> tuple[float, float]:
+    try:
+        C0, C1 = (float(x) for x in text.split(","))
+    except Exception:
+        raise ParameterError(f"--const expects 'C0,C1', got {text!r}")
+    return C0, C1
+
+
+def _parse_pi1(text: str) -> fjmod.SL2Label:
+    try:
+        sign, weight = text.split(":")
+        weight = int(weight)
+    except Exception:
+        raise ParameterError(f"--pi1 expects 'sign:weight', e.g. +:3, got {text!r}")
+    return fjmod.SL2Label(sign, weight)
 
 
 DEFAULT_GRID = "1:1,2:1,1:2,0.5:0.5"
@@ -106,7 +124,7 @@ def _as_table(payload, indent: int = 0) -> str:
                 lines.append("")
             else:
                 lines.append(f"{pad}- {v}")
-        return "\n".join(x for x in lines if x != "" or True).rstrip()
+        return "\n".join(lines).rstrip()
     return f"{pad}{payload}"
 
 
@@ -115,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sp4whittaker",
         description="degenerate Whittaker solutions and decision tables for Sp(4,R)")
     ap.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved; evaluation is deterministic and single-threaded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="chamber type and minimal K-type data")
@@ -163,8 +179,7 @@ def _cmd_eval(args):
     p = _parse_lambda(args.lam)
     grid = _parse_grid(args.grid)
     if args.what == "siegel":
-        c0pair = args.const.split(",")
-        C0, C1 = float(c0pair[0]), float(c0pair[1])
+        C0, C1 = _parse_const(args.const)
         fam = siegel_solution(p, args.c0, C0=C0, C1=C1)
         payload = {"family": _family_rows(fam), "values": _grid_values(fam, grid)}
     elif args.what == "borel":
@@ -173,9 +188,7 @@ def _cmd_eval(args):
     else:
         if args.pi1 is None:
             raise ParameterError("eval fj requires --pi1 sign:weight")
-        sign, weight = args.pi1.split(":")
-        label = fjmod.SL2Label(sign, int(weight))
-        f = fjmod.fj_function(p, label)
+        f = fjmod.fj_function(p, _parse_pi1(args.pi1))
         vals = fjmod.fj_evaluate(f, args.a)
         payload = {
             "power": f.power,
@@ -250,7 +263,7 @@ def run(argv: list[str]) -> int:
             return 0 if report.ok else 1
         else:
             payload = _cmd_table(args)
-    except ParameterError as exc:
+    except (ParameterError, WhittakerDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(_emit(payload, args.format))

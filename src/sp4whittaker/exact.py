@@ -171,9 +171,6 @@ class ExactMatrix:
         return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
                             for j in range(self.cols)])
 
-    def apply_entrywise(self, f) -> "ExactMatrix":
-        return ExactMatrix([[f(a) for a in row] for row in self.entries])
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

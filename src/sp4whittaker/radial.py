@@ -163,9 +163,6 @@ class RadialFunction:
                 return v
         return GR(0)
 
-    def monomial_keys(self) -> set:
-        return {k for k, _ in self.terms}
-
 
 def _key_order(key: Key):
     p, q, r, w = key

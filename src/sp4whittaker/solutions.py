@@ -461,42 +461,51 @@ def _euler_symbol(ops: dict, pexp: Fraction, qexp: Fraction) -> GR:
     return tot
 
 
+def _block_kernel(eqs: list[dict], shape, parity: int, d: int) -> list[tuple]:
+    """Kernel of the c0 = 0 system on one (shape, index-parity) block.
+
+    The Euler operators are diagonal on monomials and every equation links
+    index i only to i +- 2, so each block is an independent system.  Its
+    columns are the indices parity, parity + 2, ..., d in order, so each
+    vector is the dense solver's vector for the same free column, restricted.
+    """
+    rows = []
+    for eq in eqs:
+        row = [GR(0)] * ((d - parity) // 2 + 1)
+        for i, ops in eq["terms"]:
+            if i % 2 == parity:
+                row[i // 2] = row[i // 2] + _euler_symbol(ops, *shape)
+        if any(not x.is_zero() for x in row):
+            rows.append(row)
+    return kernel_basis(ExactMatrix(rows))
+
+
+def _free_column(vec) -> int:
+    """The free column of a kernel_basis vector: its last nonzero entry."""
+    return max(j for j, c in enumerate(vec) if not c.is_zero())
+
+
 def borel_recurrence_solve(p: HCParameter) -> list[CoefficientFamily]:
     """Solve the v*-basis system with c0 = 0 on the three-monomial ansatz.
 
-    Unknowns are the (position, monomial) coefficients; the system rows come
-    from expanding every equation per monomial (the Euler operators are
-    diagonal on monomials).  Returns an exact kernel basis as families.
+    Unknowns are the (position, monomial) coefficients, at column 3*i + m.
+    Each (shape, parity) block is solved on its own; ordered by global free
+    column, the block kernels are the dense solver's exact kernel basis.
     """
     _require_large(p)
-    L = blattner(p)
-    d = L.d
-    monos = _borel_monomials(p)
+    d = blattner(p).d
     eqs = radial_system("Vstar", p, 0.0)
-    nunk = 3 * (d + 1)
-    rows = []
-    for eq in eqs:
-        per_mono = {m: [GR(0)] * nunk for m in range(3)}
-        for i, ops in eq["terms"]:
-            for m, (pexp, qexp) in enumerate(monos):
-                tot = _euler_symbol(ops, pexp, qexp)
-                per_mono[m][3 * i + m] = per_mono[m][3 * i + m] + tot
-        for m in range(3):
-            if any(not x.is_zero() for x in per_mono[m]):
-                rows.append(per_mono[m])
-    basis = kernel_basis(ExactMatrix(rows))
-    out = []
-    for vec in basis:
-        entries = []
-        for i in range(d + 1):
-            f = RadialFunction.zero()
-            for m, (pexp, qexp) in enumerate(monos):
-                c = vec[3 * i + m]
-                if not c.is_zero():
-                    f = f + RadialFunction.monomial(1, pexp, qexp).scale(c)
-            entries.append(f)
-        out.append(CoefficientFamily(p, "Vstar", tuple(entries)))
-    return out
+    found = []
+    for m, shape in enumerate(_borel_monomials(p)):
+        for parity in (0, 1):
+            for vec in _block_kernel(eqs, shape, parity, d):
+                entries = [RadialFunction.zero()] * (d + 1)
+                for k, c in enumerate(vec):
+                    if not c.is_zero():
+                        entries[2 * k + parity] = RadialFunction.monomial(c, *shape)
+                free = 3 * (2 * _free_column(vec) + parity) + m
+                found.append((free, CoefficientFamily(p, "Vstar", tuple(entries))))
+    return [fam for _, fam in sorted(found, key=lambda x: x[0])]
 
 
 def _family_vector(fam: CoefficientFamily, monos) -> list[GR]:
@@ -514,29 +523,18 @@ def _family_vector(fam: CoefficientFamily, monos) -> list[GR]:
 
 
 def _in_span(columns: list[list[GR]], v: list[GR]) -> bool:
-    base = ExactMatrix([[col[i] for col in columns] for i in range(len(v))])
-    aug = ExactMatrix([[col[i] for col in columns] + [v[i]] for i in range(len(v))])
-    return base.rank() == aug.rank()
+    """Exact membership of v in the span of a kernel_basis basis.
 
-
-def _restricted_branch(p: HCParameter, mono_index: int,
-                       positions: list[int]) -> list[list[GR]]:
-    """Kernel of the c0 = 0 system restricted to one monomial shape and a
-    fixed set of positions (outside coefficients pinned to zero); used to
-    print the canonical solution branch next to a printed table."""
-    monos = _borel_monomials(p)
-    pexp, qexp = monos[mono_index]
-    rows = []
-    for eq in radial_system("Vstar", p, 0.0):
-        row = [GR(0)] * len(positions)
-        for i, ops in eq["terms"]:
-            if i not in positions:
-                continue
-            tot = _euler_symbol(ops, pexp, qexp)
-            row[positions.index(i)] = row[positions.index(i)] + tot
-        if any(not x.is_zero() for x in row):
-            rows.append(row)
-    return [list(v) for v in kernel_basis(ExactMatrix(rows))]
+    Every other basis vector vanishes at a vector's free column, so v lies
+    in the span exactly when it equals the combination its own values at
+    the free columns prescribe.
+    """
+    comb = [GR(0)] * len(v)
+    for b in columns:
+        fc = _free_column(b)
+        fac = v[fc] / b[fc]
+        comb = [x + fac * y for x, y in zip(comb, b)]
+    return comb == list(v)
 
 
 def compare_borel_formulas(p: HCParameter) -> dict:
@@ -547,11 +545,9 @@ def compare_borel_formulas(p: HCParameter) -> dict:
     together with the kernel's own branch coefficients.
     """
     _require_large(p)
-    L = blattner(p)
-    d = L.d
+    d = blattner(p).d
     monos = _borel_monomials(p)
-    kernel = borel_recurrence_solve(p)
-    columns = [_family_vector(f, monos) for f in kernel]
+    kernel = [_family_vector(f, monos) for f in borel_recurrence_solve(p)]
     report = {"dimension": len(kernel), "families": []}
     branch_info = {
         "f0": (0, [0 if p.xi_type == "II" else d]),
@@ -563,9 +559,12 @@ def compare_borel_formulas(p: HCParameter) -> dict:
     for name in BOREL_FAMILY_NAMES:
         fam = borel_solution(p, name)
         vec = _family_vector(fam, monos)
-        match = _in_span(columns, vec)
+        match = _in_span(kernel, vec)
         mono_index, positions = branch_info[name]
-        branch = _restricted_branch(p, mono_index, positions)
+        # the canonical branch: the kernel vectors supported on these positions
+        support = {3 * i + mono_index for i in positions}
+        branch = [[b[3 * i + mono_index] for i in positions] for b in kernel
+                  if all(c.is_zero() for j, c in enumerate(b) if j not in support)]
         printed_seq = [vec[3 * i + mono_index] for i in positions]
         entry = {"family": name, "status": "MATCH" if match else "MISMATCH",
                  "positions": positions,

@@ -33,6 +33,22 @@ def test_domain_error_exit_code(capsys):
 def test_usage_error_exit_code():
     assert run(["unknown-subcommand"]) == 2
     assert run([]) == 2
+    assert run(["--threads", "2", "classify", "--lambda", "2,-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "siegel", "--lambda", "2,-1", "--c0", "nan"],
+    ["eval", "siegel", "--lambda", "2,-1", "--c0", "1e308"],
+    ["eval", "siegel", "--lambda", "2,-1", "--grid", "1:inf"],
+    ["eval", "fj", "--lambda", "3,-1", "--pi1", "x"],
+    ["eval", "siegel", "--lambda", "2,-1", "--const", "1"],
+])
+def test_malformed_input_one_line_error(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 def test_table_cuspidal_weights(capsys):

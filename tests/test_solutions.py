@@ -216,6 +216,58 @@ def test_compare_borel_formulas_membership():
     assert f3["printed"][1] == "-2"      # printed next-to-leading coefficient
     assert f3["kernel_branch"][1] == "-1/3"  # the recurrence forces -1/3
     assert out["status"] == "PASS"
+    for pair in ((2, -1), (1, -3)):
+        out = compare_borel_formulas(classify(*pair))
+        f0 = next(e for e in out["families"] if e["family"] == "f0")
+        assert f0["status"] == "MATCH", pair
+        assert f0["kernel_branch"] == ["1"], pair
+        assert "kernel_branch_dimension" not in f0, pair
+
+
+def _dense_flat_system(p):
+    """The whole c0 = 0 system on 3(d+1) unknowns (column 3*i + m), built
+    directly from the equations: a_1 d/da_1 acts on y1^s y2^t by s + t,
+    a_2 d/da_2 by t - s."""
+    from sp4whittaker.exact import ExactMatrix
+    from sp4whittaker.solutions import _borel_monomials, radial_system
+    n = 3 * (blattner(p).d + 1)
+    rows = []
+    for eq in radial_system("Vstar", p, 0.0):
+        for m, (s, t) in enumerate(_borel_monomials(p)):
+            row = [Fraction(0)] * n
+            for i, ops in eq["terms"]:
+                for kind, c in ops.items():
+                    assert isinstance(c, int), (eq["label"], kind, c)
+                    row[3 * i + m] += c * {"d1": s + t, "d2": t - s, "id": 1}[kind]
+            if any(row):
+                rows.append(row)
+    return ExactMatrix(rows)
+
+
+# both chambers, d from 4 to 12
+_BLOCK_PAIRS = ((2, -1), (3, -2), (4, -3), (5, -3), (7, -4),
+                (1, -3), (2, -4), (1, -6), (3, -7), (3, -8))
+
+
+def test_no_flat_equation_mixes_index_parities():
+    # the condition the per-(shape, parity) block solve relies on
+    from sp4whittaker.solutions import radial_system
+    for pair in _BLOCK_PAIRS + ((20, -1), (1, -30)):
+        p = classify(*pair)
+        for eq in radial_system("Vstar", p, 0.0):
+            assert len({i % 2 for i, _ in eq["terms"]}) == 1, (pair, eq["label"])
+
+
+def test_block_kernel_equals_dense_kernel():
+    from sp4whittaker.exact import kernel_basis
+    from sp4whittaker.solutions import _borel_monomials, _family_vector
+    assert {blattner(classify(*pair)).d for pair in _BLOCK_PAIRS} >= {4, 5, 12}
+    for pair in _BLOCK_PAIRS:
+        p = classify(*pair)
+        dense = kernel_basis(_dense_flat_system(p))
+        monos = _borel_monomials(p)
+        blocks = [tuple(_family_vector(f, monos)) for f in borel_recurrence_solve(p)]
+        assert blocks == dense, pair
 
 
 def test_compare_scalar_multiple_still_matches():
