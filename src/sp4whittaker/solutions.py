@@ -469,20 +469,17 @@ def _block_kernel(eqs: list[dict], shape, parity: int, d: int) -> list[tuple]:
     columns are the indices parity, parity + 2, ..., d in order, so each
     vector is the dense solver's vector for the same free column, restricted.
     """
+    width = (d - parity) // 2 + 1
     rows = []
     for eq in eqs:
-        row = [GR(0)] * ((d - parity) // 2 + 1)
+        row = [GR(0)] * width
         for i, ops in eq["terms"]:
             if i % 2 == parity:
                 row[i // 2] = row[i // 2] + _euler_symbol(ops, *shape)
         if any(not x.is_zero() for x in row):
             rows.append(row)
-    return kernel_basis(ExactMatrix(rows))
-
-
-def _free_column(vec) -> int:
-    """The free column of a kernel_basis vector: its last nonzero entry."""
-    return max(j for j, c in enumerate(vec) if not c.is_zero())
+    # with no nonzero row every column is free; the zero row keeps the width
+    return kernel_basis(ExactMatrix(rows or [[GR(0)] * width]))
 
 
 def borel_recurrence_solve(p: HCParameter) -> list[CoefficientFamily]:
@@ -493,7 +490,8 @@ def borel_recurrence_solve(p: HCParameter) -> list[CoefficientFamily]:
     column, the block kernels are the dense solver's exact kernel basis.
     """
     _require_large(p)
-    d = blattner(p).d
+    L = blattner(p)
+    d = L.d
     eqs = radial_system("Vstar", p, 0.0)
     found = []
     for m, shape in enumerate(_borel_monomials(p)):
@@ -503,7 +501,7 @@ def borel_recurrence_solve(p: HCParameter) -> list[CoefficientFamily]:
                 for k, c in enumerate(vec):
                     if not c.is_zero():
                         entries[2 * k + parity] = RadialFunction.monomial(c, *shape)
-                free = 3 * (2 * _free_column(vec) + parity) + m
+                        free = 3 * (2 * k + parity) + m  # ends at the last nonzero
                 found.append((free, CoefficientFamily(p, "Vstar", tuple(entries))))
     return [fam for _, fam in sorted(found, key=lambda x: x[0])]
 
@@ -531,7 +529,7 @@ def _in_span(columns: list[list[GR]], v: list[GR]) -> bool:
     """
     comb = [GR(0)] * len(v)
     for b in columns:
-        fc = _free_column(b)
+        fc = max(j for j, c in enumerate(b) if not c.is_zero())
         fac = v[fc] / b[fc]
         comb = [x + fac * y for x, y in zip(comb, b)]
     return comb == list(v)
@@ -545,9 +543,11 @@ def compare_borel_formulas(p: HCParameter) -> dict:
     together with the kernel's own branch coefficients.
     """
     _require_large(p)
-    d = blattner(p).d
+    L = blattner(p)
+    d = L.d
     monos = _borel_monomials(p)
-    kernel = [_family_vector(f, monos) for f in borel_recurrence_solve(p)]
+    kernel = borel_recurrence_solve(p)
+    columns = [_family_vector(f, monos) for f in kernel]
     report = {"dimension": len(kernel), "families": []}
     branch_info = {
         "f0": (0, [0 if p.xi_type == "II" else d]),
@@ -559,11 +559,11 @@ def compare_borel_formulas(p: HCParameter) -> dict:
     for name in BOREL_FAMILY_NAMES:
         fam = borel_solution(p, name)
         vec = _family_vector(fam, monos)
-        match = _in_span(kernel, vec)
+        match = _in_span(columns, vec)
         mono_index, positions = branch_info[name]
         # the canonical branch: the kernel vectors supported on these positions
         support = {3 * i + mono_index for i in positions}
-        branch = [[b[3 * i + mono_index] for i in positions] for b in kernel
+        branch = [[b[3 * i + mono_index] for i in positions] for b in columns
                   if all(c.is_zero() for j, c in enumerate(b) if j not in support)]
         printed_seq = [vec[3 * i + mono_index] for i in positions]
         entry = {"family": name, "status": "MATCH" if match else "MISMATCH",

@@ -103,32 +103,17 @@ def _mp_integral(kappa, mu, y):
     return mp.e ** (-y / 2) * y ** kappa * val / mp.gamma(a)
 
 
-_CLIMB_DPS = 24
-
-
-@lru_cache(maxsize=None)
-def _climb_seeds(k: float, mu: float, y: float) -> tuple:
-    """W_{k-1,mu}(y) and W_{k,mu}(y) at the climb precision.
-
-    Every kappa = k + m, m = 1, 2, ..., climbs from this same pair, so
-    kappa and its neighbours kappa +- 1 share one pair of quadratures.
-    """
-    with mp.workdps(_CLIMB_DPS):
-        k_, mu_, y_ = mp.mpf(k), mp.mpf(mu), mp.mpf(y)
-        return _mp_integral(k_ - 1, mu_, y_), _mp_integral(k_, mu_, y_)
-
-
 @lru_cache(maxsize=None)
 def _w_climb(kappa: float, mu: float, y: float) -> float:
     # non-integer gap: high-precision seeds + recurrence, rounded once;
     # the cancellation along the climb stays below ~1e9 on the supported
-    # domain, so 24 digits leave ample headroom.  kappa - m is exact in
-    # doubles (Sterbenz, or a multiple of ulp(kappa) no larger than kappa)
+    # domain, so 24 digits leave ample headroom
     m = math.ceil(kappa - mu - 0.5 + _INT_TOL)
-    wprev, wcur = _climb_seeds(kappa - m, mu, y)
-    with mp.workdps(_CLIMB_DPS):
+    with mp.workdps(24):
         mu_, y_ = mp.mpf(mu), mp.mpf(y)
-        k = mp.mpf(kappa - m)
+        k = mp.mpf(kappa) - m
+        wprev = _mp_integral(k - 1, mu_, y_)
+        wcur = _mp_integral(k, mu_, y_)
         for _ in range(m):
             wnext = (y_ - 2 * k) * wcur + (mu_ ** 2 - (k - mp.mpf(1) / 2) ** 2) * wprev
             wprev, wcur, k = wcur, wnext, k + 1

@@ -270,6 +270,20 @@ def test_block_kernel_equals_dense_kernel():
         assert blocks == dense, pair
 
 
+def test_block_kernel_with_no_rows_keeps_every_column():
+    # equations with terms only at odd indices leave the even block free
+    from sp4whittaker.solutions import _block_kernel
+    shape = (Fraction(1), Fraction(0))
+    eqs = [{"terms": [(1, {"d1": 1}), (3, {"id": -1})]}]
+    for d, width in ((4, 3), (5, 3), (0, 1)):
+        basis = _block_kernel(eqs, shape, 0, d)
+        assert basis == [tuple(GR(int(i == j)) for i in range(width))
+                         for j in range(width)], d
+    assert _block_kernel([], shape, 1, 5) == [(GR(1), GR(0), GR(0)),
+                                             (GR(0), GR(1), GR(0)),
+                                             (GR(0), GR(0), GR(1))]
+
+
 def test_compare_scalar_multiple_still_matches():
     p = classify(2, -1)
     fam = borel_solution(p, "f1")

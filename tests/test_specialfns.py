@@ -120,16 +120,3 @@ def test_accuracy_against_independent_high_precision_route():
         with mp.workdps(30):
             ref = float(mp.whitw(kappa, mu, y))
         assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), ref) < 1e-10
-
-
-def test_climb_neighbours_share_one_seed_pair():
-    # kappa - 1, kappa and kappa + 1 climb from the same two quadratures
-    mp = pytest.importorskip("mpmath")
-    from sp4whittaker.specialfns import _climb_seeds
-    kappa0, mu, y = 2.375, 0.7, 1.7
-    misses = _climb_seeds.cache_info().misses
-    for kappa in (kappa0 - 1.0, kappa0, kappa0 + 1.0):
-        with mp.workdps(30):
-            ref = float(mp.whitw(kappa, mu, y))
-        assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), ref) < 1e-10
-    assert _climb_seeds.cache_info().misses == misses + 1
