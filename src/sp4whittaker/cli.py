@@ -7,8 +7,8 @@ failed verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from fractions import Fraction
 
 from . import fourier_jacobi as fjmod
 from . import rules
@@ -31,6 +31,11 @@ def _parse_lambda(text: str):
     return classify(l1, l2)
 
 
+def _require_finite(option: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"{option} must be finite, got {', '.join(map(str, values))}")
+
+
 def _parse_grid(text: str) -> list[tuple[float, float]]:
     pts = []
     for chunk in text.split(","):
@@ -38,6 +43,7 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
             a1, a2 = (float(x) for x in chunk.split(":"))
         except Exception:
             raise ParameterError(f"--grid expects 'a1:a2,a1:a2,...', got {text!r}")
+        _require_finite("--grid", a1, a2)
         if a1 <= 0 or a2 <= 0:
             raise ParameterError("grid points must be positive")
         pts.append((a1, a2))
@@ -49,6 +55,7 @@ def _parse_const(text: str) -> tuple[float, float]:
         C0, C1 = (float(x) for x in text.split(","))
     except Exception:
         raise ParameterError(f"--const expects 'C0,C1', got {text!r}")
+    _require_finite("--const", C0, C1)
     return C0, C1
 
 
@@ -188,6 +195,7 @@ def _cmd_eval(args):
     else:
         if args.pi1 is None:
             raise ParameterError("eval fj requires --pi1 sign:weight")
+        _require_finite("--a", args.a)
         f = fjmod.fj_function(p, _parse_pi1(args.pi1))
         vals = fjmod.fj_evaluate(f, args.a)
         payload = {
@@ -203,7 +211,7 @@ def _cmd_eval(args):
 def _cmd_solve(args):
     p = _parse_lambda(args.lam)
     basis = borel_recurrence_solve(p)
-    cmp_out = compare_borel_formulas(p)
+    cmp_out = compare_borel_formulas(p, kernel=basis)
     return {"dimension": len(basis),
             "basis": [_family_rows(f) for f in basis],
             "printed_table_comparison": cmp_out}
@@ -217,21 +225,15 @@ def _cmd_table(args):
     out = {"lambda": [p.l1, p.l2], "xi_type": p.xi_type,
            "siegel_targets": [{"exponent": str(e), "weight": w}
                               for e, w in rules.emb_siegel_targets(p)],
-           "jacobi_slots": [
-               {"slot": 1, "exponent": str(Fraction(-p.l2)), "required_parity": p.l2 % 2},
-               {"slot": 2, "exponent": str(Fraction(p.l1)), "required_parity": p.l1 % 2}],
-           "principal_patterns": []}
+           "jacobi_slots": [], "principal_patterns": []}
+    for slot in (1, 2):
+        mu = rules.jacobi_slot(p, slot)
+        out["jacobi_slots"].append({"slot": slot, "exponent": str(mu.exponent),
+                                    "required_parity": mu.sign_parity})
     for pattern in range(1, 6):
-        table = rules._P0_PATTERNS_II if p.xi_type == "II" else rules._P0_PATTERNS_III
-        e1, e2 = table[pattern](p.l1, p.l2)
-        entry = {"pattern": pattern, "exponents": [str(e1), str(e2)]}
-        if pattern == 1:
-            entry["condition"] = {"mu1_parity": p.l2 % 2, "mu2_parity": (p.l1 + 1) % 2}
-        elif pattern in (2, 3):
-            entry["condition"] = {"product_parity": (p.l1 + p.l2 + 1) % 2}
-        else:
-            entry["condition"] = "never"
-        out["principal_patterns"].append(entry)
+        (e1, e2), condition = rules.principal_pattern(p, pattern)
+        out["principal_patterns"].append({"pattern": pattern, "exponents": [str(e1), str(e2)],
+                                          "condition": condition})
     conv = []
     for parab, branches in (("P_S", (2, 3)), ("P_J", (2, 3)), ("P_0", (1, 2))):
         for br in branches:

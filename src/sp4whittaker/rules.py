@@ -63,21 +63,28 @@ def emb_siegel_targets(p: HCParameter) -> list[tuple[Fraction, int]]:
             (Fraction(-(l1 + l2), 2), l1 - l2 + 1)]
 
 
-def emb_jacobi(p: HCParameter, mu: RealCharacter, slot: int) -> bool:
-    """Embedding test for the two mirabolic-type inductions.
+def jacobi_slot(p: HCParameter, slot: int) -> RealCharacter:
+    """The character a mirabolic-type slot requires.
 
     Slot 1 carries exponent -l2 and requires parity l2; slot 2 carries
-    exponent l1 and requires parity l1.  Exponent mismatch is an error, a
-    parity mismatch is a clean False.
+    exponent l1 and requires parity l1.
     """
     _require_large(p)
     if slot not in (1, 2):
         raise ParameterError("slot must be 1 or 2")
-    want_exp = Fraction(-p.l2) if slot == 1 else Fraction(p.l1)
-    if mu.exponent != want_exp:
-        raise ParameterError(f"slot {slot} carries exponent {want_exp}, got {mu.exponent}")
-    want_parity = (p.l2 if slot == 1 else p.l1) % 2
-    return mu.sign_parity == want_parity
+    return RealCharacter(-p.l2, p.l2) if slot == 1 else RealCharacter(p.l1, p.l1)
+
+
+def emb_jacobi(p: HCParameter, mu: RealCharacter, slot: int) -> bool:
+    """Embedding test for the two mirabolic-type inductions.
+
+    Exponent mismatch with the slot's character is an error, a parity
+    mismatch is a clean False.
+    """
+    want = jacobi_slot(p, slot)
+    if mu.exponent != want.exponent:
+        raise ParameterError(f"slot {slot} carries exponent {want.exponent}, got {mu.exponent}")
+    return mu.sign_parity == want.sign_parity
 
 
 _P0_PATTERNS_II = {
@@ -96,27 +103,40 @@ _P0_PATTERNS_III = {
 }
 
 
-def emb_principal(p: HCParameter, mu1: RealCharacter, mu2: RealCharacter,
-                  pattern: int) -> bool:
-    """Occurrence of the discrete series in the five displayed principal series.
+def principal_pattern(p: HCParameter, pattern: int) -> tuple[tuple, dict | str]:
+    """Exponents of one of the five displayed principal series, and its condition.
 
-    Patterns 1-3 are parity iffs; patterns 4 and 5 never contain it as a
-    subrepresentation.
+    The condition is the parity each character must have (pattern 1), the
+    parity of their product (patterns 2 and 3), or "never" (patterns 4 and
+    5 never contain the discrete series as a subrepresentation).
     """
     _require_large(p)
     if pattern not in range(1, 6):
         raise ParameterError("pattern must be 1..5")
     table = _P0_PATTERNS_II if p.xi_type == "II" else _P0_PATTERNS_III
-    e1, e2 = table[pattern](p.l1, p.l2)
+    if pattern == 1:
+        condition = {"mu1_parity": p.l2 % 2, "mu2_parity": (p.l1 + 1) % 2}
+    elif pattern in (2, 3):
+        condition = {"product_parity": (p.l1 + p.l2 + 1) % 2}
+    else:
+        condition = "never"
+    return table[pattern](p.l1, p.l2), condition
+
+
+def emb_principal(p: HCParameter, mu1: RealCharacter, mu2: RealCharacter,
+                  pattern: int) -> bool:
+    """Occurrence of the discrete series in the five displayed principal series."""
+    (e1, e2), condition = principal_pattern(p, pattern)
     if (mu1.exponent, mu2.exponent) != (e1, e2):
         raise ParameterError(
             f"pattern {pattern} carries exponents ({e1},{e2}), got "
             f"({mu1.exponent},{mu2.exponent})")
-    if pattern == 1:
-        return (mu1.sign_parity == p.l2 % 2) and (mu2.sign_parity == (p.l1 + 1) % 2)
-    if pattern in (2, 3):
-        return (mu1.sign_parity + mu2.sign_parity) % 2 == (p.l1 + p.l2 + 1) % 2
-    return False
+    if condition == "never":
+        return False
+    if "product_parity" in condition:
+        return (mu1.sign_parity + mu2.sign_parity) % 2 == condition["product_parity"]
+    return (mu1.sign_parity, mu2.sign_parity) == (condition["mu1_parity"],
+                                                  condition["mu2_parity"])
 
 
 def allowed_cuspidal_components(parabolic: str, p: HCParameter) -> DecisionRecord:
@@ -133,10 +153,9 @@ def allowed_cuspidal_components(parabolic: str, p: HCParameter) -> DecisionRecor
         citation = "cuspidal-support/siegel-weights"
     elif parabolic == "P_J":
         sign = "+" if p.xi_type == "II" else "-"
-        verdict = [
-            {"weight": l1 + 1, "sign": sign, "mu_parity": l2 % 2, "exponent": str(-l2)},
-            {"weight": -l2 + 1, "sign": sign, "mu_parity": l1 % 2, "exponent": str(l1)},
-        ]
+        verdict = [{"weight": w, "sign": sign, "mu_parity": mu.sign_parity,
+                    "exponent": str(mu.exponent)}
+                   for w, mu in ((l1 + 1, jacobi_slot(p, 1)), (-l2 + 1, jacobi_slot(p, 2)))]
         citation = "cuspidal-support/jacobi-weights"
         notes = (NOTE_PJ_WEIGHT,)
     else:

@@ -372,21 +372,16 @@ def radial_system(basis_tag: str, p: HCParameter, c0: float) -> list[dict]:
     return _drop_trivial(eqs, L.d)
 
 
-def _apply_equation(eq: dict, fam: CoefficientFamily) -> RadialFunction:
-    total = RadialFunction.zero()
+def _summands(eq: dict, fam: CoefficientFamily) -> list[RadialFunction]:
+    """The equation's scaled summands on the family, one per (term, operator)."""
+    out = []
     for i, ops in eq["terms"]:
         f = fam.entry(i)
-        if f.is_zero():
-            continue
-        if "d1" in ops:
-            total = total + f.d1().scale(ops["d1"])
-        if "d2" in ops:
-            total = total + f.d2().scale(ops["d2"])
-        if "id" in ops:
-            total = total + f.scale(ops["id"])
-        if "y1" in ops:
-            total = total + f.mul_y1().scale(ops["y1"])
-    return total
+        for kname, c in ops.items():
+            g = (f.d1() if kname == "d1" else f.d2() if kname == "d2"
+                 else f.mul_y1() if kname == "y1" else f)
+            out.append(g.scale(c))
+    return out
 
 
 def radial_system_residual(fam: CoefficientFamily, p: HCParameter,
@@ -406,9 +401,9 @@ def radial_system_residual(fam: CoefficientFamily, p: HCParameter,
     rows = []
     worst = 0.0
     for eq in eqs:
-        res = _apply_equation(eq, fam)
+        summands = _summands(eq, fam)
         if exact_path:
-            ok = res.is_zero()
+            ok = sum(summands, RadialFunction.zero()).is_zero()
             rows.append({"equation": eq["label"], "max_rel": 0.0 if ok else math.inf,
                          "exact_zero": ok})
             if not ok:
@@ -416,12 +411,7 @@ def radial_system_residual(fam: CoefficientFamily, p: HCParameter,
             continue
         eq_worst = 0.0
         for a1, a2 in grid:
-            pieces = []
-            for i, ops in eq["terms"]:
-                f = fam.entry(i)
-                for kname, c in ops.items():
-                    g = {"d1": f.d1, "d2": f.d2, "id": lambda: f, "y1": f.mul_y1}[kname]()
-                    pieces.append(g.scale(c).evaluate(a1, a2))
+            pieces = [g.evaluate(a1, a2) for g in summands]
             scale = max((abs(v) for v in pieces), default=0.0)
             val = abs(sum(pieces, complex(0)))
             rel = val / max(scale, 1e-280)
@@ -535,18 +525,21 @@ def _in_span(columns: list[list[GR]], v: list[GR]) -> bool:
     return comb == list(v)
 
 
-def compare_borel_formulas(p: HCParameter) -> dict:
+def compare_borel_formulas(p: HCParameter, *,
+                           kernel: list[CoefficientFamily] | None = None) -> dict:
     """Membership of the five printed families in the exact recurrence kernel.
 
     f0/f1/f2 are expected to MATCH; the printed f3 (and at some parameters
     f4) coefficient tables fail the recurrence and are reported as MISMATCH
-    together with the kernel's own branch coefficients.
+    together with the kernel's own branch coefficients.  A caller that
+    already holds borel_recurrence_solve(p) passes it as `kernel`.
     """
     _require_large(p)
     L = blattner(p)
     d = L.d
     monos = _borel_monomials(p)
-    kernel = borel_recurrence_solve(p)
+    if kernel is None:
+        kernel = borel_recurrence_solve(p)
     columns = [_family_vector(f, monos) for f in kernel]
     report = {"dimension": len(kernel), "families": []}
     branch_info = {

@@ -103,7 +103,6 @@ def _mp_integral(kappa, mu, y):
     return mp.e ** (-y / 2) * y ** kappa * val / mp.gamma(a)
 
 
-@lru_cache(maxsize=None)
 def _w_climb(kappa: float, mu: float, y: float) -> float:
     # non-integer gap: high-precision seeds + recurrence, rounded once;
     # the cancellation along the climb stays below ~1e9 on the supported

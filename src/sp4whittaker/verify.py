@@ -314,7 +314,7 @@ def suite_borel() -> Report:
             ok = ok and out["status"] == PASS and out["exact_path"]
         rep.add(f"kernel-exact-residual/lambda=({l1},{l2})", _status(ok),
                 "solutions/exact-zero-substitution")
-        cmp_out = compare_borel_formulas(p)
+        cmp_out = compare_borel_formulas(p, kernel=basis)
         rep.add(f"printed-families/lambda=({l1},{l2})", cmp_out["status"],
                 "solutions/printed-table-membership",
                 detail={"families": [{"family": e["family"], "status": e["status"]}

@@ -42,6 +42,11 @@ def test_usage_error_exit_code():
     ["eval", "siegel", "--lambda", "2,-1", "--grid", "1:inf"],
     ["eval", "fj", "--lambda", "3,-1", "--pi1", "x"],
     ["eval", "siegel", "--lambda", "2,-1", "--const", "1"],
+    ["eval", "borel", "--lambda", "2,-1", "--grid", "1:inf"],
+    ["eval", "borel", "--lambda", "2,-1", "--grid", "nan:1"],
+    ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "inf"],
+    ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "nan"],
+    ["eval", "siegel", "--lambda", "2,-1", "--const", "nan,1", "--grid", "1:1"],
 ])
 def test_malformed_input_one_line_error(capsys, argv):
     assert run(argv) == 1

@@ -107,6 +107,21 @@ def test_siegel_residuals_all_parameters():
             assert out["max_rel"] < 1e-6
 
 
+def test_residual_builds_summands_once_per_equation(monkeypatch):
+    # the radial algebra runs once per equation, not again at every grid point
+    p = classify(3, -1)
+    fam = siegel_solution(p, 1.0)
+    calls = []
+    d1 = RadialFunction.d1
+    monkeypatch.setattr(RadialFunction, "d1", lambda self: calls.append(self) or d1(self))
+    counts = []
+    for grid in (GRID[:1], GRID[:6]):
+        calls.clear()
+        radial_system_residual(fam, p, DegenerateCharacter(1.0), grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
+
+
 def test_siegel_constants_span_solutions():
     # the system is linear, so any constants in front of the two branches
     # must still give a solution
@@ -217,7 +232,10 @@ def test_compare_borel_formulas_membership():
     assert f3["kernel_branch"][1] == "-1/3"  # the recurrence forces -1/3
     assert out["status"] == "PASS"
     for pair in ((2, -1), (1, -3)):
-        out = compare_borel_formulas(classify(*pair))
+        p = classify(*pair)
+        out = compare_borel_formulas(p)
+        # a caller that already holds the kernel gets the same report
+        assert compare_borel_formulas(p, kernel=borel_recurrence_solve(p)) == out, pair
         f0 = next(e for e in out["families"] if e["family"] == "f0")
         assert f0["status"] == "MATCH", pair
         assert f0["kernel_branch"] == ["1"], pair
