@@ -378,8 +378,14 @@ def _summands(eq: dict, fam: CoefficientFamily) -> list[RadialFunction]:
     for i, ops in eq["terms"]:
         f = fam.entry(i)
         for kname, c in ops.items():
-            g = (f.d1() if kname == "d1" else f.d2() if kname == "d2"
-                 else f.mul_y1() if kname == "y1" else f)
+            if kname == "d1":
+                g = f.d1()
+            elif kname == "d2":
+                g = f.d2()
+            elif kname == "y1":
+                g = f.mul_y1()
+            else:
+                g = f
             out.append(g.scale(c))
     return out
 
