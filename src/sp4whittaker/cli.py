@@ -242,10 +242,34 @@ def _cmd_table(args):
     return out
 
 
+# argparse takes "-1e-3" for an option flag (only -<digits> and
+# -<digits>.<digits> pass as negative numbers), so a number after one of
+# these options is joined to it as --option=value before parsing
+_NUMBER_OPTIONS = ("--c0", "--a")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_number_values(argv: list[str]) -> list[str]:
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_number_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,10 +6,15 @@ Three evaluation regimes, split by a = mu - kappa + 1/2 (after mu -> |mu|):
   W(y) = exp(-y/2) y^(mu+1/2) (-1)^n n! L_n^(2mu)(y) with n = -a.  The
   generic routes are catastrophically ill-conditioned here at small y,
   so the closed form is mandatory, not an optimization.
-* a > 0: Laplace-type integral, adaptive quadrature in doubles.
-* a < 0 not an integer: seed two neighbours inside the integral region and
-  climb with the three-term kappa recurrence.  The climb cancels up to ~1e9
-  at small y, so it runs at elevated precision and rounds once at the end.
+* a >= 0.1: Laplace-type integral, adaptive quadrature in doubles.
+* a < 0.1 otherwise: the climb.  The neighbours W_{k-1} and W_k, with
+  a = mu - k + 1/2 in (1, 2] at k, come from one double-exponential
+  quadrature pass on a fixed node table, and the three-term kappa
+  recurrence climbs from k to kappa.  Below a = 0.1 the integrand's
+  t^(a-1) endpoint defeats the double-precision quadrature; seeding above
+  a = 1 keeps it out of the climb's quadrature too.  The climb cancels up
+  to ~1e9 at small y, so it runs at elevated precision and rounds once at
+  the end.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from scipy.integrate import IntegrationWarning, quad
 
 
 class WhittakerDomainError(ValueError):
@@ -74,6 +78,10 @@ def _w_terminating(n: int, mu: float, y: float) -> float:
 
 
 def _w_integral(kappa: float, mu: float, y: float) -> float:
+    # the package's only scipy use; imported here so that a cold start of
+    # the CLI does not pay for scipy.integrate
+    from scipy.integrate import IntegrationWarning, quad
+
     a = mu - kappa + 0.5
     b = mu + kappa - 0.5
     lgam = math.lgamma(a)
@@ -95,28 +103,104 @@ def _w_integral(kappa: float, mu: float, y: float) -> float:
     return math.exp(-y / 2.0) * y ** kappa * val
 
 
-def _mp_integral(kappa, mu, y):
-    a = mu - kappa + mp.mpf(1) / 2
-    b = mu + kappa - mp.mpf(1) / 2
-    f = lambda t: mp.e ** (-t) * t ** (a - 1) * (1 + t / y) ** b
-    val = mp.quad(f, [0, a + abs(b) + 10, mp.inf])
-    return mp.e ** (-y / 2) * y ** kappa * val / mp.gamma(a)
+# The climb works at _CLIMB_DPS digits.  Its seeds come from the trapezoidal
+# rule in u after t = c exp(u - e^-u), on u in [-5, 6] with steps 2^-1 down
+# to 2^-_DE_LEVELS, and are accepted once two successive steps agree to
+# _SEED_TOL.  A node whose term lies below e^-_DE_SKIP of the peak's is under
+# the sums' last digit and is skipped.
+_CLIMB_DPS = 30
+_SEED_TOL = 1e-24
+_DE_U = (-5, 6)
+_DE_LEVELS = 6
+_DE_SKIP = 80.0
+# below this a = mu - kappa + 1/2 the double-precision integral misses the
+# t^(a-1) endpoint, and W comes from the climb, one step from a + 1
+_CLIMB_BELOW_A = 0.1
+
+
+@lru_cache(maxsize=1)
+def _de_nodes() -> tuple:
+    """The fixed node table, level by level.
+
+    Level 0 holds every node of step 1/2, level j > 0 the nodes that step
+    2^-(j+1) adds.  A node is (v, e^v, 1 + e^-u, float(v), float(e^v)) with
+    v = u - e^-u, so that t = c e^v and dt = t (1 + e^-u) du.
+    """
+    levels = []
+    lo, hi = _DE_U
+    with mp.workdps(_CLIMB_DPS):
+        for j in range(_DE_LEVELS):
+            n = 2 ** (j + 1)
+            steps = range(lo * n, hi * n + 1) if j == 0 else range(lo * n + 1, hi * n, 2)
+            nodes = []
+            for i in steps:
+                eu = mp.exp(-mp.mpf(i) / n)
+                v = mp.mpf(i) / n - eu
+                ev = mp.exp(v)
+                nodes.append((v, ev, 1 + eu, float(v), float(ev)))
+            levels.append(tuple(nodes))
+    return tuple(levels)
+
+
+def _climb_seeds(a, b, y):
+    """(g, s0, s1) with e^g s0 = int_0^inf e^-t t^(a-1) (1+t/y)^b dt and
+    e^g s1 the same integral with t^a (1+t/y)^(b-1), the kappa one lower.
+
+    One pass serves both, as the second integrand is the first times
+    t/(1+t/y).  c sits at the peak of t e^-t t^(a-1) (1+t/y)^b, where
+    -1 + a/t + b/(y+t) = 0, and g is the log of that term at c, so the sums
+    are O(1).  c is kept at 1/2 or more: the last node, t ~ 403 c, then lies
+    at least e^-190 down the e^-t tail whatever y.
+    """
+    af, bf, yf = float(a), float(b), float(y)
+    p = yf - af - bf
+    disc = math.sqrt(p * p + 4.0 * af * yf)
+    cf = max((disc - p) / 2.0 if p < 0.0 else 2.0 * af * yf / (p + disc), 0.5)
+    c = mp.mpf(cf)
+    lc = mp.log(1 + c / y)
+    # log of a term, less the peak's: a v - t + b log(1+t/y) + const
+    const = c - b * lc
+    constf = float(const)
+    s0 = s1 = mp.mpf(0)
+    prev = None
+    for j, nodes in enumerate(_de_nodes()):
+        for v, ev, jac, vf, evf in nodes:
+            tf = cf * evf
+            if af * vf - tf + bf * math.log1p(tf / yf) + constf < -_DE_SKIP:
+                continue
+            t = c * ev
+            r = 1 + t / y
+            f = mp.exp(a * v - t + b * mp.log(r) + const) * jac
+            s0 += f
+            s1 += f * t / r
+        h = mp.ldexp(1, -(j + 1))
+        cur = (s0 * h, s1 * h)
+        if prev is not None and all(abs(x - x0) <= _SEED_TOL * abs(x)
+                                    for x, x0 in zip(cur, prev)):
+            return a * mp.log(c) - c + b * lc, cur[0], cur[1]
+        prev = cur
+    raise WhittakerConvergenceError(
+        f"climb seeds did not converge at a={af}, b={bf}, y={yf}")
 
 
 def _w_climb(kappa: float, mu: float, y: float) -> float:
-    # non-integer gap: high-precision seeds + recurrence, rounded once;
-    # the cancellation along the climb stays below ~1e9 on the supported
-    # domain, so 24 digits leave ample headroom
-    m = math.ceil(kappa - mu - 0.5 + _INT_TOL)
-    with mp.workdps(24):
+    # seed at a = mu - k + 1/2 in (1, 2], away from the t^(a-1) endpoint,
+    # and climb m steps of the kappa recurrence; the climb cancels up to
+    # ~1e9 at small y, so it runs at elevated precision and rounds once
+    m = math.floor(kappa - mu + 1.5)
+    with mp.workdps(_CLIMB_DPS):
         mu_, y_ = mp.mpf(mu), mp.mpf(y)
-        k = mp.mpf(kappa) - m
-        wprev = _mp_integral(k - 1, mu_, y_)
-        wcur = _mp_integral(k, mu_, y_)
+        k0 = mp.mpf(kappa) - m
+        a = mu_ - k0 + 0.5
+        g, wcur, s1 = _climb_seeds(a, mu_ + k0 - 0.5, y_)
+        # W_k = C s0 and W_{k-1} = C s1 / (a y), with the common factor
+        # C = e^(g - y/2) y^k / Gamma(a), as Gamma(a + 1) = a Gamma(a)
+        wprev = s1 / (a * y_)
+        k = k0
         for _ in range(m):
-            wnext = (y_ - 2 * k) * wcur + (mu_ ** 2 - (k - mp.mpf(1) / 2) ** 2) * wprev
+            wnext = (y_ - 2 * k) * wcur + (mu_ ** 2 - (k - 0.5) ** 2) * wprev
             wprev, wcur, k = wcur, wnext, k + 1
-        return float(wcur)
+        return float(wcur * mp.exp(g - y_ / 2 + k0 * mp.log(y_) - mp.loggamma(a)))
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +208,7 @@ def _w_cached(kappa: float, mu: float, y: float) -> float:
     n = _terminating_order(kappa, mu)
     if n is not None:
         return _w_terminating(n, mu, y)
-    if mu - kappa + 0.5 > 0.0:
+    if mu - kappa + 0.5 >= _CLIMB_BELOW_A:
         return _w_integral(kappa, mu, y)
     return _w_climb(kappa, mu, y)
 
@@ -133,7 +217,9 @@ def whittaker_w(idx: WhittakerIndex | None = None, y: float = None, *,
                 kappa: float = None, mu: float = None) -> float:
     """The moderate-growth solution W_{kappa,mu}(y), y > 0.
 
-    Relative accuracy 1e-10 or better on y in [0.1, 50], |kappa|, |mu| <= 10.
+    Relative accuracy 1e-10 or better on y in [0.1, 50], |kappa|, |mu| <= 10,
+    except within 1e-9 of the terminating set kappa = |mu| + 1/2 + n, where
+    the closed form is taken and can be off in the leading digit.
     Symmetric in mu -> -mu.
     """
     if idx is not None:
@@ -210,4 +296,9 @@ def whittaker_w_oracle(kappa: float, mu: float, y: float, dps: int = 25) -> floa
     if mu - kappa + 0.5 <= 0:
         raise WhittakerDomainError("oracle requires mu - kappa + 1/2 > 0")
     with mp.workdps(dps):
-        return float(_mp_integral(mp.mpf(kappa), mp.mpf(mu), mp.mpf(y)))
+        kappa, mu, y = mp.mpf(kappa), mp.mpf(mu), mp.mpf(y)
+        a = mu - kappa + mp.mpf(1) / 2
+        b = mu + kappa - mp.mpf(1) / 2
+        f = lambda t: mp.e ** (-t) * t ** (a - 1) * (1 + t / y) ** b
+        val = mp.quad(f, [0, a + abs(b) + 10, mp.inf])
+        return float(mp.e ** (-y / 2) * y ** kappa * val / mp.gamma(a))

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sp4whittaker
 from sp4whittaker.cli import run
 from sp4whittaker.report import dumps
 
@@ -47,6 +51,7 @@ def test_usage_error_exit_code():
     ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "inf"],
     ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "nan"],
     ["eval", "siegel", "--lambda", "2,-1", "--const", "nan,1", "--grid", "1:1"],
+    ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "-1e-3"],
 ])
 def test_malformed_input_one_line_error(capsys, argv):
     assert run(argv) == 1
@@ -54,6 +59,25 @@ def test_malformed_input_one_line_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_negative_number_in_exponent_notation(capsys):
+    # argparse alone would read -1e-3 as an option flag: a usage error
+    argv = ["eval", "siegel", "--lambda", "2,-1", "--grid", "1:1"]
+    spaced = _capture(capsys, argv + ["--c0", "-1e-3"])
+    joined = _capture(capsys, argv + ["--c0=-1e-3"])
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is the costliest import; only the integral regime needs it
+    src = str(Path(sp4whittaker.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sp4whittaker.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_table_cuspidal_weights(capsys):

@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from sp4whittaker import specialfns
 from sp4whittaker.specialfns import (WhittakerDomainError, WhittakerIndex,
                                      check_contiguous, pochhammer, whittaker_w,
                                      whittaker_w_dy, whittaker_w_oracle,
@@ -120,3 +123,60 @@ def test_accuracy_against_independent_high_precision_route():
         with mp.workdps(30):
             ref = float(mp.whitw(kappa, mu, y))
         assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), ref) < 1e-10
+
+
+def _whitw(kappa, mu, y):
+    # mpmath's hypergeometric route at 40 digits shares no code with whittaker_w
+    with mpmath.workdps(40):
+        return float(mpmath.whitw(kappa, mu, y))
+
+
+# Climb points that the seed quadrature at a in (0, 1] once missed (the first
+# four) or crashed on (the last, a seed integral near 2^97).
+_CLIMB_FAULTS = ((3.408, 0.917, 0.204), (7.511, 3.064, 20.754),
+                 (7.701, 0.4, 0.443), (4.628, 2.384, 2.169),
+                 (9.436497230753048, 8.685935061211913, 0.11954596974306195))
+
+
+def _documented_box_points():
+    rng = random.Random(20231)
+    log_y = (math.log(0.1), math.log(50.0))
+    points = []
+    for _ in range(150):
+        points.append((rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                       math.exp(rng.uniform(*log_y))))
+    # dense band on both sides of the terminating set a = -n, a = mu - kappa + 1/2
+    for _ in range(150):
+        n = rng.randint(0, 9)
+        eps = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-8.0, math.log10(0.5))
+        mu = rng.uniform(0.0, 9.5 - n)
+        points.append((mu + 0.5 + n - eps, rng.choice((1.0, -1.0)) * mu,
+                       math.exp(rng.uniform(*log_y))))
+    return points + list(_CLIMB_FAULTS)
+
+
+def test_accuracy_over_documented_box():
+    bad = [(kappa, mu, y) for kappa, mu, y in _documented_box_points()
+           if rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) > 1e-10]
+    assert bad == []
+
+
+@pytest.mark.xfail(strict=True, reason="within 1e-9 of the terminating set the "
+                   "closed form is used, and W is off by an order of one there")
+def test_snap_band_next_to_terminating_set():
+    kappa, mu, y = 6.32016742587149, 4.8201674250716415, 0.32697774576694055
+    assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) < 1e-10
+
+
+def test_climb_never_uses_the_oracle_quadrature(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+
+    monkeypatch.setattr(specialfns.mp, "quad", no_quad)
+    # points no other test evaluates, so the W cache cannot serve them; the
+    # last has a = 0.03 and reaches the climb from the integral regime's side
+    for kappa, mu, y in ((3.3125, 0.6875, 0.8125), (7.0625, 2.4375, 13.5),
+                         (1.4375, 0.96875, 2.75)):
+        assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) < 1e-10
+    with pytest.raises(AssertionError):
+        whittaker_w_oracle(0.25, 1.0, 1.0)
