@@ -106,8 +106,8 @@ def _w_integral(kappa: float, mu: float, y: float) -> float:
 # The climb works at _CLIMB_DPS digits.  Its seeds come from the trapezoidal
 # rule in u after t = c exp(u - e^-u), on u in [-5, 6] with steps 2^-1 down
 # to 2^-_DE_LEVELS, and are accepted once two successive steps agree to
-# _SEED_TOL.  A node whose term lies below e^-_DE_SKIP of the peak's is under
-# the sums' last digit and is skipped.
+# _SEED_TOL.  A node whose term lies below e^-_DE_SKIP of the term at c is
+# under the sums' last digit and is skipped.
 _CLIMB_DPS = 30
 _SEED_TOL = 1e-24
 _DE_U = (-5, 6)
@@ -150,7 +150,7 @@ def _climb_seeds(a, b, y):
     t/(1+t/y).  c sits at the peak of t e^-t t^(a-1) (1+t/y)^b, where
     -1 + a/t + b/(y+t) = 0, and g is the log of that term at c, so the sums
     are O(1).  c is kept at 1/2 or more: the last node, t ~ 403 c, then lies
-    at least e^-190 down the e^-t tail whatever y.
+    at least e^-190 below the term at c for y from 1e-8 to 1e6.
     """
     af, bf, yf = float(a), float(b), float(y)
     p = yf - af - bf
@@ -158,7 +158,7 @@ def _climb_seeds(a, b, y):
     cf = max((disc - p) / 2.0 if p < 0.0 else 2.0 * af * yf / (p + disc), 0.5)
     c = mp.mpf(cf)
     lc = mp.log(1 + c / y)
-    # log of a term, less the peak's: a v - t + b log(1+t/y) + const
+    # log of a node's term over the term at c: a v - t + b log(1+t/y) + const
     const = c - b * lc
     constf = float(const)
     s0 = s1 = mp.mpf(0)
