@@ -6,12 +6,13 @@ Three evaluation regimes, split by a = mu - kappa + 1/2 (after mu -> |mu|):
   W(y) = exp(-y/2) y^(mu+1/2) (-1)^n n! L_n^(2mu)(y) with n = -a.  The
   generic routes are catastrophically ill-conditioned here at small y,
   so the closed form is mandatory, not an optimization.
-* a >= 0.1: Laplace-type integral, adaptive quadrature in doubles.
+* a >= 0.1: Laplace-type integral, one double-exponential quadrature
+  pass in doubles on a fixed node table.
 * a < 0.1 otherwise: the climb.  The neighbours W_{k-1} and W_k, with
   a = mu - k + 1/2 in (1, 2] at k, come from one double-exponential
   quadrature pass on a fixed node table, and the three-term kappa
   recurrence climbs from k to kappa.  Below a = 0.1 the integrand's
-  t^(a-1) endpoint defeats the double-precision quadrature; seeding above
+  t^(a-1) endpoint outruns the double-precision node table; seeding above
   a = 1 keeps it out of the climb's quadrature too.  The climb cancels up
   to ~1e9 at small y, so it runs at elevated precision and rounds once at
   the end.
@@ -19,7 +20,6 @@ Three evaluation regimes, split by a = mu - kappa + 1/2 (after mu -> |mu|):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,32 +77,6 @@ def _w_terminating(n: int, mu: float, y: float) -> float:
     return math.exp(-y / 2.0) * y ** (mu + 0.5) * sign * math.factorial(n) * lcur
 
 
-def _w_integral(kappa: float, mu: float, y: float) -> float:
-    # the package's only scipy use; imported here so that a cold start of
-    # the CLI does not pay for scipy.integrate
-    from scipy.integrate import IntegrationWarning, quad
-
-    a = mu - kappa + 0.5
-    b = mu + kappa - 0.5
-    lgam = math.lgamma(a)
-
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return math.exp(-t + (a - 1.0) * math.log(t) + b * math.log1p(t / y) - lgam)
-
-    cut = max(1.0, a + abs(b))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v1, e1 = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-12, limit=300)
-        v2, e2 = quad(integrand, cut, math.inf, epsabs=0.0, epsrel=1e-12, limit=300)
-    val = v1 + v2
-    if e1 + e2 > 1e-8 * max(abs(val), 1e-280):
-        raise WhittakerConvergenceError(
-            f"quadrature tolerance not reached at kappa={kappa}, mu={mu}, y={y}")
-    return math.exp(-y / 2.0) * y ** kappa * val
-
-
 # The climb works at _CLIMB_DPS digits.  Its seeds come from the trapezoidal
 # rule in u after t = c exp(u - e^-u), on u in [-5, 6] with steps 2^-1 down
 # to 2^-_DE_LEVELS, and are accepted once two successive steps agree to
@@ -113,25 +87,36 @@ _SEED_TOL = 1e-24
 _DE_U = (-5, 6)
 _DE_LEVELS = 6
 _DE_SKIP = 80.0
-# below this a = mu - kappa + 1/2 the double-precision integral misses the
-# t^(a-1) endpoint, and W comes from the climb, one step from a + 1
+# The integral regime takes the same rule in doubles on u in [-7, 6]: the
+# t^(a-1) endpoint decays like e^(-a e^-u), which at a = 0.1 needs u down
+# to about -6.  It accepts once two successive steps agree to _QUAD_TOL.
+_QUAD_U = (-7, 6)
+_QUAD_TOL = 1e-13
+# below this a = mu - kappa + 1/2 the integral's node table no longer
+# reaches into the t^(a-1) endpoint, and W comes from the climb, one step
+# from a + 1
 _CLIMB_BELOW_A = 0.1
+
+
+def _de_levels(lo: int, hi: int):
+    """(n, steps) per level, the nodes being u = i/n for i in steps.
+    Level 0 holds every node of step 1/2 on [lo, hi], level j > 0 the
+    nodes that step 2^-(j+1) adds."""
+    for j in range(_DE_LEVELS):
+        n = 2 ** (j + 1)
+        yield n, range(lo * n, hi * n + 1) if j == 0 else range(lo * n + 1, hi * n, 2)
 
 
 @lru_cache(maxsize=1)
 def _de_nodes() -> tuple:
-    """The fixed node table, level by level.
+    """The climb's fixed node table, level by level.
 
-    Level 0 holds every node of step 1/2, level j > 0 the nodes that step
-    2^-(j+1) adds.  A node is (v, e^v, 1 + e^-u, float(v), float(e^v)) with
-    v = u - e^-u, so that t = c e^v and dt = t (1 + e^-u) du.
+    A node is (v, e^v, 1 + e^-u, float(v), float(e^v)) with v = u - e^-u,
+    so that t = c e^v and dt = t (1 + e^-u) du.
     """
     levels = []
-    lo, hi = _DE_U
     with mp.workdps(_CLIMB_DPS):
-        for j in range(_DE_LEVELS):
-            n = 2 ** (j + 1)
-            steps = range(lo * n, hi * n + 1) if j == 0 else range(lo * n + 1, hi * n, 2)
+        for n, steps in _de_levels(*_DE_U):
             nodes = []
             for i in steps:
                 eu = mp.exp(-mp.mpf(i) / n)
@@ -142,20 +127,64 @@ def _de_nodes() -> tuple:
     return tuple(levels)
 
 
+@lru_cache(maxsize=1)
+def _quad_nodes() -> tuple:
+    """The integral regime's node table in doubles, nodes (v, e^v, 1 + e^-u)."""
+    levels = []
+    for n, steps in _de_levels(*_QUAD_U):
+        nodes = []
+        for i in steps:
+            eu = math.exp(-i / n)
+            v = i / n - eu
+            nodes.append((v, math.exp(v), 1.0 + eu))
+        levels.append(tuple(nodes))
+    return tuple(levels)
+
+
+def _de_centre(a: float, b: float, y: float) -> float:
+    """c of t = c exp(u - e^-u): the peak of t e^-t t^(a-1) (1+t/y)^b,
+    where -1 + a/t + b/(y+t) = 0, kept at 1/2 or more so that the last
+    node, t ~ 403 c, lies deep in the e^-t tail."""
+    p = y - a - b
+    disc = math.sqrt(p * p + 4.0 * a * y)
+    return max((disc - p) / 2.0 if p < 0.0 else 2.0 * a * y / (p + disc), 0.5)
+
+
+def _w_integral(kappa: float, mu: float, y: float) -> float:
+    # the climb's rule in doubles.  The integrand is positive, so the sum
+    # loses nothing to cancellation; each term is taken relative to the
+    # term at c, and one far below it underflows to 0.
+    a = mu - kappa + 0.5
+    b = mu + kappa - 0.5
+    c = _de_centre(a, b, y)
+    lc = math.log1p(c / y)
+    const = c - b * lc
+    s = 0.0
+    prev = None
+    for j, nodes in enumerate(_quad_nodes()):
+        for v, ev, jac in nodes:
+            t = c * ev
+            s += math.exp(a * v - t + b * math.log1p(t / y) + const) * jac
+        cur = math.ldexp(s, -(j + 1))
+        if prev is not None and abs(cur - prev) <= _QUAD_TOL * cur:
+            log_scale = a * math.log(c) - const - y / 2.0 + kappa * math.log(y)
+            return math.exp(log_scale - math.lgamma(a)) * cur
+        prev = cur
+    raise WhittakerConvergenceError(
+        f"quadrature tolerance not reached at kappa={kappa}, mu={mu}, y={y}")
+
+
 def _climb_seeds(a, b, y):
     """(g, s0, s1) with e^g s0 = int_0^inf e^-t t^(a-1) (1+t/y)^b dt and
     e^g s1 the same integral with t^a (1+t/y)^(b-1), the kappa one lower.
 
     One pass serves both, as the second integrand is the first times
-    t/(1+t/y).  c sits at the peak of t e^-t t^(a-1) (1+t/y)^b, where
-    -1 + a/t + b/(y+t) = 0, and g is the log of that term at c, so the sums
-    are O(1).  c is kept at 1/2 or more: the last node, t ~ 403 c, then lies
-    at least e^-190 below the term at c for y from 1e-8 to 1e6.
+    t/(1+t/y).  c is `_de_centre`, and g is the log of the term at c, so
+    the sums are O(1).  For a in (1, 2] the last node, t ~ 403 c, lies at
+    least e^-190 below the term at c for y from 1e-8 to 1e6.
     """
     af, bf, yf = float(a), float(b), float(y)
-    p = yf - af - bf
-    disc = math.sqrt(p * p + 4.0 * af * yf)
-    cf = max((disc - p) / 2.0 if p < 0.0 else 2.0 * af * yf / (p + disc), 0.5)
+    cf = _de_centre(af, bf, yf)
     c = mp.mpf(cf)
     lc = mp.log(1 + c / y)
     # log of a node's term over the term at c: a v - t + b log(1+t/y) + const

@@ -71,13 +71,17 @@ def test_negative_number_in_exponent_notation(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is the costliest import; only the integral regime needs it
+    # scipy.integrate would be the costliest import; neither a cold start
+    # nor a first call in the integral regime (a = 1/2 here) may pay for it
     src = str(Path(sp4whittaker.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import sp4whittaker.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "print('scipy.integrate' in sys.modules); "
+            "from sp4whittaker.specialfns import whittaker_w; "
+            "whittaker_w(kappa=1.0, mu=1.0, y=2.0); "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 def test_table_cuspidal_weights(capsys):

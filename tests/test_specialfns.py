@@ -161,6 +161,16 @@ def test_accuracy_over_documented_box():
     assert bad == []
 
 
+def test_integral_regime_edges():
+    # a at the climb boundary and far above it, y far outside the box: the
+    # double-exponential pass converges and stays near double precision
+    for a in (0.1, 0.5, 20.0):
+        for mu in (0.0, 4.25, 10.0):
+            kappa = mu + 0.5 - a
+            for y in (1e-4, 0.1, 50.0, 1e3):
+                assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) < 1e-12
+
+
 @pytest.mark.xfail(strict=True, reason="within 1e-9 of the terminating set the "
                    "closed form is used, and W is off by an order of one there")
 def test_snap_band_next_to_terminating_set():
