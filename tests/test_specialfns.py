@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -37,7 +38,7 @@ def test_closed_form_terminating_cases():
 
 
 def test_reflection_closed_form_value():
-    # oracle value frozen from the defining integral; equals the mu -> -mu
+    # oracle value frozen from mpmath's whitw; equals the mu -> -mu
     # reflected terminating case exp(-y/2)
     frozen = 0.6065306597126334
     got = whittaker_w(kappa=0.0, mu=0.5, y=1.0)
@@ -178,15 +179,52 @@ def test_snap_band_next_to_terminating_set():
     assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) < 1e-10
 
 
-def test_climb_never_uses_the_oracle_quadrature(monkeypatch):
-    def no_quad(*args, **kwargs):
-        raise AssertionError("mp.quad called")
-
-    monkeypatch.setattr(specialfns.mp, "quad", no_quad)
+def test_climb_never_calls_the_oracle(monkeypatch):
     # points no other test evaluates, so the W cache cannot serve them; the
     # last has a = 0.03 and reaches the climb from the integral regime's side
-    for kappa, mu, y in ((3.3125, 0.6875, 0.8125), (7.0625, 2.4375, 13.5),
-                         (1.4375, 0.96875, 2.75)):
-        assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), _whitw(kappa, mu, y)) < 1e-10
+    points = ((3.3125, 0.6875, 0.8125), (7.0625, 2.4375, 13.5),
+              (1.4375, 0.96875, 2.75))
+    # the references come from mpmath.whitw, so take them before the patch
+    refs = [_whitw(kappa, mu, y) for kappa, mu, y in points]
+
+    def no_whitw(*args, **kwargs):
+        raise AssertionError("mp.whitw called")
+
+    monkeypatch.setattr(specialfns.mp, "whitw", no_whitw)
+    for (kappa, mu, y), ref in zip(points, refs):
+        assert rel(whittaker_w(kappa=kappa, mu=mu, y=y), ref) < 1e-10
     with pytest.raises(AssertionError):
         whittaker_w_oracle(0.25, 1.0, 1.0)
+
+
+def test_oracle_on_terminating_set_matches_closed_form():
+    # a = mu - kappa + 1/2 = 0, where the defining integral does not converge:
+    # W = y^(mu+1/2) e^(-y/2), a reference that shares no code with whitw
+    for mu in (0.0, 0.75, 2.0, 4.5):
+        for y in (0.1, 1.0, 7.5, 40.0):
+            ref = y ** (mu + 0.5) * math.exp(-y / 2.0)
+            assert rel(whittaker_w_oracle(mu + 0.5, mu, y), ref) < 1e-13
+            assert rel(whittaker_w_oracle(mu + 0.5, -mu, y), ref) < 1e-13
+
+
+def test_oracle_memory_stays_bounded():
+    # each batch evaluates 100 inputs not seen before.  mpmath's own tables
+    # keyed by working precision (Bernoulli numbers, gamma coefficients) may
+    # gain a few objects when a new precision is met; they are bounded by
+    # the precisions, not the inputs.  A per-input cache, such as mpmath's
+    # tanh-sinh node cache, leaves about ten objects per call.
+    def batch(shift):
+        for i in range(100):
+            whittaker_w_oracle(-1.0 + 0.0137 * i + shift, 1.3 + shift, 0.5 + 0.05 * i)
+
+    batch(0.0)
+    counts = []
+    for shift in (0.001, 0.002):
+        batch(shift)
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert abs(counts[1] - counts[0]) < 50
+
+
+def test_w_cache_is_bounded():
+    assert specialfns._w_cached.cache_info().maxsize is not None
