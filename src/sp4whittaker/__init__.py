@@ -1,8 +1,7 @@
 """Verification and computation toolkit for degenerate Whittaker functions of
 the large discrete series representations of Sp(4,R).
 """
-from .exact import (BivariatePolynomial, ExactMatrix, GaussianRational,
-                    kernel_basis, poly_mul)
+from .exact import ExactMatrix, GaussianRational, kernel_basis
 from .fourier_jacobi import (FJSpherical, SL2Label, fj_evaluate, fj_function,
                              fj_nonvanishing)
 from .ktypes import (DominantWeight, KTypeVector, act, beta_matrix,
@@ -22,17 +21,15 @@ from .specialfns import (WhittakerIndex, check_contiguous, pochhammer,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariatePolynomial", "BlattnerParameter", "CoefficientFamily",
-    "DecisionRecord", "DegenerateCharacter", "DominantWeight", "ExactMatrix",
-    "FJSpherical", "GaussianRational", "HCParameter", "KTypeVector",
-    "RealCharacter", "SL2Label", "WhittakerIndex", "act",
-    "allowed_cuspidal_components", "beta_matrix", "blattner",
-    "borel_recurrence_solve", "borel_solution", "change_basis",
-    "check_beta_identities", "check_contiguous", "classify",
+    "BlattnerParameter", "CoefficientFamily", "DecisionRecord",
+    "DegenerateCharacter", "DominantWeight", "ExactMatrix", "FJSpherical",
+    "GaussianRational", "HCParameter", "KTypeVector", "RealCharacter",
+    "SL2Label", "WhittakerIndex", "act", "allowed_cuspidal_components",
+    "beta_matrix", "blattner", "borel_recurrence_solve", "borel_solution",
+    "change_basis", "check_beta_identities", "check_contiguous", "classify",
     "compare_borel_formulas", "convergence_condition", "emb_jacobi",
     "emb_principal", "emb_siegel_targets", "fj_evaluate", "fj_function",
     "fj_nonvanishing", "gl2_weight_constraint", "kernel_basis", "pochhammer",
-    "poly_mul", "radial_system_residual", "raising_lowering_check",
-    "siegel_solution", "sl2_module_descriptor", "sl2_whittaker",
-    "whittaker_w", "whittaker_w_dy",
+    "radial_system_residual", "raising_lowering_check", "siegel_solution",
+    "sl2_module_descriptor", "sl2_whittaker", "whittaker_w", "whittaker_w_dy",
 ]

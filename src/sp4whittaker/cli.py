@@ -103,9 +103,8 @@ def _emit(payload, fmt: str) -> str:
     if fmt == "json":
         return dumps(payload)
     if fmt == "csv":
-        rows = payload if isinstance(payload, list) else payload.get("values", [])
         lines = ["a1,a2,i,value"]
-        for r in rows:
+        for r in payload["values"]:
             lines.append(f'{r["a1"]:.17g},{r["a2"]:.17g},{r["i"]},{r["value"]:.17g}')
         return "\n".join(lines)
     return _as_table(payload)
@@ -187,6 +186,7 @@ def _cmd_eval(args):
     grid = _parse_grid(args.grid)
     if args.what == "siegel":
         C0, C1 = _parse_const(args.const)
+        _require_finite("--c0", args.c0)
         fam = siegel_solution(p, args.c0, C0=C0, C1=C1)
         payload = {"family": _family_rows(fam), "values": _grid_values(fam, grid)}
     elif args.what == "borel":
@@ -242,12 +242,6 @@ def _cmd_table(args):
     return out
 
 
-# argparse takes "-1e-3" for an option flag (only -<digits> and
-# -<digits>.<digits> pass as negative numbers), so a number after one of
-# these options is joined to it as --option=value before parsing
-_NUMBER_OPTIONS = ("--c0", "--a")
-
-
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -256,10 +250,25 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _is_int_pair(text: str) -> bool:
+    try:
+        _, _ = (int(x) for x in text.split(","))
+    except ValueError:
+        return False
+    return True
+
+
+# argparse takes "-1e-3" and "-1,-3" for option flags (only -<digits> and
+# -<digits>.<digits> pass as negative numbers), so a value of the right kind
+# after one of these options is joined to it as --option=value before parsing
+_NUMBER_OPTIONS = {"--c0": _is_number, "--a": _is_number, "--lambda": _is_int_pair}
+
+
 def _join_number_values(argv: list[str]) -> list[str]:
     out = []
     for token in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and _is_number(token):
+        accepts = _NUMBER_OPTIONS.get(out[-1]) if out else None
+        if accepts and accepts(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -270,6 +279,10 @@ def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(_join_number_values(argv))
+        if args.format == "csv" and args.command != "eval":
+            ap.error("--format csv needs grid values, which only eval gives")
+        if args.command == "verify" and args.max_degree < 2:
+            ap.error(f"--max-degree must be at least 2, got {args.max_degree}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

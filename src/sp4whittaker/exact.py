@@ -1,7 +1,9 @@
-"""Exact arithmetic substrate: Gaussian rationals, dense matrices, bivariate polynomials.
+"""Exact arithmetic substrate: Gaussian rationals and dense matrices.
 
 Everything here is immutable and computes exactly (arbitrary-precision
-rationals); no floats enter this module.
+rationals); no floats enter this module.  One in-place Gauss-Jordan
+reduction, `_rref`, serves `ExactMatrix.inverse`, `ExactMatrix.rank` and
+`kernel_basis`.
 """
 from __future__ import annotations
 
@@ -189,27 +191,18 @@ class ExactMatrix:
         return tuple(_dot(row, vv) for row in self.entries)
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse via Gauss-Jordan; raises on singular input."""
+        """Exact inverse by Gauss-Jordan on [A | I]; raises on singular input."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * a for a in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        if len(_rref(aug, n)) < n:
+            raise ValueError("singular matrix")
         return ExactMatrix([row[n:] for row in aug])
 
     def rank(self) -> int:
-        return len(_row_echelon([list(r) for r in self.entries])[1])
+        return len(_rref([list(r) for r in self.entries], self.cols))
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(a) for a in row) for row in self.entries)
@@ -223,32 +216,30 @@ def _dot(a: Iterable[GR], b: Iterable[GR]) -> GR:
     return total
 
 
-def _row_echelon(m: list[list[GR]]):
-    """In-place fraction-free elimination; deterministic pivots.
+def _rref(m: list[list[GR]], ncols: int) -> dict[int, int]:
+    """In-place Gauss-Jordan reduction of the first ncols columns of m.
 
-    Pivot selection scans columns left to right, taking the first row with a
-    nonzero entry (no magnitude-based pivoting), so the result is identical
-    across runs.  Returns (matrix, pivot column -> row map).
+    Pivots are deterministic: columns left to right, each taking the first
+    remaining row with a nonzero entry (no magnitude-based pivoting).  Each
+    pivot row is scaled to a leading 1 and its column cleared from every
+    other row, so m ends in its unique reduced row echelon form.  Returns
+    the pivot column -> row map.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    piv_of_col: dict[int, int] = {}
-    r = 0
+    pivots: dict[int, int] = {}
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                fi = m[i][c]
-                m[i] = [pv * a - fi * b for a, b in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    return m, piv_of_col
+        inv = m[r][c].inverse()
+        m[r] = [inv * a for a in m[r]]
+        for i, row in enumerate(m):
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                m[i] = [a - f * b for a, b in zip(row, m[r])]
+        pivots[c] = r
+    return pivots
 
 
 def kernel_basis(system: ExactMatrix) -> list[tuple]:
@@ -257,122 +248,17 @@ def kernel_basis(system: ExactMatrix) -> list[tuple]:
     Each basis vector is normalized so its first nonzero coordinate is 1;
     the basis order follows the free columns left to right.
     """
-    if system.rows == 0 or system.cols == 0:
-        return [tuple(ONE if i == j else ZERO for i in range(system.cols))
-                for j in range(system.cols)]
-    m, piv_of_col = _row_echelon([list(r) for r in system.entries])
-    ncols = system.cols
-    free_cols = [c for c in range(ncols) if c not in piv_of_col]
+    m = [list(r) for r in system.entries]
+    pivots = _rref(m, system.cols)
     basis = []
-    for fc in free_cols:
-        v = [ZERO] * ncols
+    for fc in range(system.cols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * system.cols
         v[fc] = ONE
-        for c, r in piv_of_col.items():
-            # pivot row: m[r][c]*v[c] + sum over later columns = 0
-            v[c] = -m[r][fc] / m[r][c]
-        lead = next(x for x in v if not x.is_zero())
-        inv = lead.inverse()
+        for c, r in pivots.items():
+            # pivot row r reads v[c] + sum of m[r][j] * v[j] over free j = 0
+            v[c] = -m[r][fc]
+        inv = next(x for x in v if not x.is_zero()).inverse()
         basis.append(tuple(inv * x for x in v))
     return basis
-
-
-class BivariatePolynomial:
-    """Polynomial in x1, x2 with GaussianRational coefficients.
-
-    Stored as a map (deg_x1, deg_x2) -> coefficient; zero coefficients are
-    never kept.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: dict | None = None):
-        clean = {}
-        for key, val in (coefficients or {}).items():
-            v = GR.coerce(val)
-            if not v.is_zero():
-                clean[(int(key[0]), int(key[1]))] = v
-        object.__setattr__(self, "coefficients", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePolynomial is immutable")
-
-    @classmethod
-    def constant(cls, c: Scalarish) -> "BivariatePolynomial":
-        return cls({(0, 0): GR.coerce(c)})
-
-    @classmethod
-    def x1(cls) -> "BivariatePolynomial":
-        return cls({(1, 0): ONE})
-
-    @classmethod
-    def x2(cls) -> "BivariatePolynomial":
-        return cls({(0, 1): ONE})
-
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, ZERO) + v
-        return BivariatePolynomial(out)
-
-    def __sub__(self, other):
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, ZERO) - v
-        return BivariatePolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, BivariatePolynomial):
-            return poly_mul(self, other)
-        c = GR.coerce(other)
-        return BivariatePolynomial({k: c * v for k, v in self.coefficients.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.coefficients:
-            return -1
-        return max(i + j for i, j in self.coefficients)
-
-    def is_homogeneous(self) -> bool:
-        degs = {i + j for i, j in self.coefficients}
-        return len(degs) <= 1
-
-    def coefficient(self, deg_x1: int, deg_x2: int) -> GR:
-        return self.coefficients.get((deg_x1, deg_x2), ZERO)
-
-    def __pow__(self, n: int) -> "BivariatePolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BivariatePolynomial.constant(1)
-        for _ in range(n):
-            out = poly_mul(out, self)
-        return out
-
-    def __repr__(self):
-        if not self.coefficients:
-            return "0"
-        parts = [f"({v})*x1^{i}*x2^{j}" for (i, j), v in sorted(self.coefficients.items())]
-        return " + ".join(parts)
-
-
-def poly_mul(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
-    """Exact product of bivariate polynomials."""
-    out: dict = {}
-    for (a, b), c in p.coefficients.items():
-        for (e, f), g in q.coefficients.items():
-            k = (a + e, b + f)
-            prev = out.get(k, ZERO)
-            out[k] = prev + c * g
-    return BivariatePolynomial(out)

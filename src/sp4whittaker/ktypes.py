@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .exact import (BivariatePolynomial, ExactMatrix, GaussianRational as GR,
-                    I, ONE, ZERO, poly_mul)
+from .exact import ExactMatrix, GaussianRational as GR, I, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,24 @@ def pairing(v: KTypeVector, w: KTypeVector) -> GR:
     return total
 
 
+_I_POWERS = (ONE, I, -ONE, -I)
+
+
 @lru_cache(maxsize=None)
 def beta_matrix(n: int) -> ExactMatrix:
     """(n+1)x(n+1) matrix B with row i the expansion of (x1+i*x2)^i (x1-i*x2)^(n-i).
 
-    Entry (i, j) is the coefficient on x1^j x2^(n-j); computed by exact
-    polynomial multiplication.
+    Entry (i, j) is the coefficient on x1^j x2^m, m = n - j: taking k of the
+    x2 factors from the first power and m - k from the second gives
+    i^m * sum_k (-1)^(m-k) C(i, k) C(n-i, m-k).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x1, x2 = BivariatePolynomial.x1(), BivariatePolynomial.x2()
-    plus = x1 + x2 * I
-    minus = x1 - x2 * I
-    rows = []
-    for i in range(n + 1):
-        p = poly_mul(plus ** i, minus ** (n - i))
-        rows.append([p.coefficient(j, n - j) for j in range(n + 1)])
-    return ExactMatrix(rows)
+    def entry(i: int, m: int) -> GR:
+        s = sum((-1) ** (m - k) * comb(i, k) * comb(n - i, m - k) for k in range(m + 1))
+        return _I_POWERS[m % 4] * s
+
+    return ExactMatrix([[entry(i, n - j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +151,7 @@ def change_basis(v: KTypeVector, to: str) -> KTypeVector:
     if {tag, to} == {VSTAR, USTAR}:
         m = beta_matrix(d) if tag == VSTAR else beta_matrix_inverse(d)
     elif {tag, to} == {V, U}:
-        m = beta_matrix(d).transpose().inverse() if tag == V else beta_matrix(d).transpose()
+        m = beta_matrix_inverse(d).transpose() if tag == V else beta_matrix(d).transpose()
     else:
         raise ValueError(f"no conversion {tag} -> {to}")
     return KTypeVector(v.weight, to, m.matvec(v.coords))

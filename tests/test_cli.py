@@ -1,4 +1,6 @@
 import json
+import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +54,7 @@ def test_usage_error_exit_code():
     ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "nan"],
     ["eval", "siegel", "--lambda", "2,-1", "--const", "nan,1", "--grid", "1:1"],
     ["eval", "fj", "--lambda", "3,-1", "--pi1", "+:2", "--a", "-1e-3"],
+    ["eval", "siegel", "--lambda", "2,-1", "--c0", "inf"],
 ])
 def test_malformed_input_one_line_error(capsys, argv):
     assert run(argv) == 1
@@ -59,6 +62,29 @@ def test_malformed_input_one_line_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    c0 = dict(zip(argv, argv[1:])).get("--c0")
+    if c0 is not None and not math.isfinite(float(c0)):
+        assert "--c0" in lines[0], captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "beta", "--max-degree", "1"],
+    ["verify", "beta", "--max-degree", "0"],
+    ["verify", "lie", "--max-degree=-3"],
+    ["--format", "csv", "classify", "--lambda", "2,-1"],
+    ["--format", "csv", "blattner", "--lambda", "2,-1"],
+    ["--format", "csv", "solve", "borel", "--lambda", "2,-1"],
+    ["--format", "csv", "table", "embeddings", "--lambda", "2,-1"],
+    ["--format", "csv", "verify", "rules"],
+])
+def test_usage_error_one_error_line(capsys, argv):
+    # a verify run below degree 2 would pass with no contraction case at
+    # all, and CSV rows exist only for eval's grid values
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "Traceback" not in captured.err, captured.err
 
 
 def test_negative_number_in_exponent_notation(capsys):
@@ -68,6 +94,28 @@ def test_negative_number_in_exponent_notation(capsys):
     joined = _capture(capsys, argv + ["--c0=-1e-3"])
     assert spaced[0] == 0
     assert spaced == joined
+
+
+def test_negative_lambda_pair_spaced_or_joined(capsys):
+    # argparse alone would read -1,-3 as an option flag: a usage error
+    spaced = _capture(capsys, ["classify", "--lambda", "-1,-3"])
+    joined = _capture(capsys, ["classify", "--lambda=-1,-3"])
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert json.loads(spaced[1])["xi_type"] == "IV"
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(ln.split("#", 1)[0])[1:] for ln in lines
+            if ln.startswith("sp4whittaker ") and ln.split()[1] != "verify"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, argv):
+    assert run(argv) == 0, capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -1,12 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4whittaker.exact import (BivariatePolynomial, ExactMatrix,
-                                GaussianRational as GR, I, kernel_basis,
-                                poly_mul)
+from sp4whittaker.exact import (ExactMatrix, GaussianRational as GR, I,
+                                kernel_basis)
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 gaussians = st.builds(GR, small_rationals, small_rationals)
@@ -106,30 +106,63 @@ def test_kernel_deterministic():
     assert kernel_basis(m) == kernel_basis(m)
 
 
-def test_poly_mul_examples():
-    x1, x2 = BivariatePolynomial.x1(), BivariatePolynomial.x2()
-    assert poly_mul(x1, x2) == BivariatePolynomial({(1, 1): 1})
-    sq = poly_mul(x1 + x2 * I, x1 + x2 * I)
-    assert sq == BivariatePolynomial({(2, 0): 1, (1, 1): GR(0, 2), (0, 2): -1})
-    assert poly_mul(x1, BivariatePolynomial({})).is_zero()
+def _sympy(m):
+    import sympy
+    return sympy.Matrix(m.rows, m.cols, [
+        sympy.Rational(x.re.numerator, x.re.denominator)
+        + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+        for row in m.entries for x in row])
 
 
-polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), gaussians, max_size=4
-).map(BivariatePolynomial)
+def _random_matrices(seed=20261018):
+    # small Gaussian-rational matrices: square, non-square, rank-deficient
+    # products, with a zero row, all zero, and empty
+    rng = random.Random(seed)
+
+    def entry():
+        return GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    def dense(r, c):
+        return ExactMatrix([[entry() for _ in range(c)] for _ in range(r)])
+
+    out = [ExactMatrix([]), ExactMatrix([[]]), ExactMatrix.zero(2, 3),
+           ExactMatrix.zero(3, 3)]
+    for _ in range(6):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        out.append(dense(r, c))
+        out.append(dense(r, r))
+        k = rng.randint(1, 2)
+        out.append(dense(r, k) * dense(k, c))
+        out.append(dense(k, r).transpose() * dense(k, r))
+        with_zero_row = [list(row) for row in dense(r + 1, c).entries]
+        with_zero_row[rng.randrange(r + 1)] = [GR(0)] * c
+        out.append(ExactMatrix(with_zero_row))
+    return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
-def test_poly_mul_degree_additivity(p, q):
-    prod = poly_mul(p, q)
-    if p.is_zero() or q.is_zero():
-        assert prod.is_zero()
-    else:
-        assert prod.degree() == p.degree() + q.degree()
-
-
-def test_homogeneity_predicate():
-    hom = BivariatePolynomial({(2, 1): 1, (0, 3): GR(0, 1)})
-    assert hom.is_homogeneous()
-    assert not BivariatePolynomial({(1, 0): 1, (0, 2): 1}).is_homogeneous()
+def test_elimination_against_sympy():
+    # rank, kernel and inverse against sympy's Matrix.rank, nullspace and inv,
+    # which share no code with the package's elimination
+    import sympy
+    inverted = singular = 0
+    for m in _random_matrices():
+        s = _sympy(m)
+        rank = s.rank()
+        assert m.rank() == rank, m
+        ours = kernel_basis(m)
+        assert len(ours) == len(s.nullspace()) == m.cols - rank, m
+        if ours:
+            k = sympy.Matrix.hstack(*[_sympy(ExactMatrix([v]).transpose()) for v in ours])
+            assert (s * k).expand().is_zero_matrix, m
+            assert k.rank() == len(ours)
+        if m.rows != m.cols:
+            continue
+        if rank < m.rows:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                m.inverse()
+        else:
+            inverted += 1
+            assert (_sympy(m.inverse()) - s.inv()).expand().is_zero_matrix, m
+    assert inverted >= 3 and singular >= 3

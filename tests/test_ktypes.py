@@ -125,3 +125,18 @@ def test_dual_pairing_contragredient():
                     v = unit_vector(w, V, k)
                     u = unit_vector(w, VSTAR, m)
                     assert (pairing(act(gen, v), u) + pairing(v, act(gen, u))).is_zero()
+
+
+def test_beta_matrix_against_sympy_expansion():
+    # row i of B is the expansion of (x1 + i x2)^i (x1 - i x2)^(n-i)
+    # on x1^j x2^(n-j), read off by sympy's polynomial expansion
+    import sympy
+    x1, x2 = sympy.symbols("x1 x2")
+    for n in range(11):
+        b = beta_matrix(n)
+        for i in range(n + 1):
+            p = sympy.Poly(sympy.expand((x1 + sympy.I * x2) ** i
+                                        * (x1 - sympy.I * x2) ** (n - i)), x1, x2)
+            for j in range(n + 1):
+                c = p.coeff_monomial(x1 ** j * x2 ** (n - j))
+                assert b[i, j] == GR(int(sympy.re(c)), int(sympy.im(c))), (n, i, j)
