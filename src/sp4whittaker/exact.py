@@ -1,73 +1,99 @@
 """Exact arithmetic substrate: Gaussian rationals and dense matrices.
 
-Everything here is immutable and computes exactly (arbitrary-precision
-rationals); no floats enter this module.  One in-place Gauss-Jordan
+Everything here is immutable and computes exactly: a Gaussian rational is
+three Python ints, and no floats enter this module.  One in-place Gauss-Jordan
 reduction, `_rref`, serves `ExactMatrix.inverse`, `ExactMatrix.rank` and
 `kernel_basis`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalarish = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number (a + b*i)/d with integers a, b, d, stored with d > 0 and
+    gcd(a, b, d) = 1, so that equal numbers store equal triples."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("GaussianRational parts must be int or Fraction")
+        # coprime parts over the lcm of their denominators have gcd 1 already
+        d = lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x: Scalarish) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+            return _make(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     def __add__(self, other):
-        o = self.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else _coerce(other)
+        d, od = self._d, o._d
+        if d == od:
+            return _norm(self._a + o._a, self._b + o._b, d)
+        return _norm(self._a * od + o._a * d, self._b * od + o._b * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else _coerce(other)
+        d, od = self._d, o._d
+        if d == od:
+            return _norm(self._a - o._a, self._b - o._b, d)
+        return _norm(self._a * od - o._a * d, self._b * od - o._b * d, d * od)
 
     def __rsub__(self, other):
         return self.coerce(other) - self
 
     def __mul__(self, other):
-        o = self.coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        o = other if type(other) is GaussianRational else _coerce(other)
+        a, b, oa, ob = self._a, self._b, o._a, o._b
+        if b == 0 and ob == 0:
+            return _norm(a * oa, 0, self._d * o._d)
+        return _norm(a * oa - b * ob, a * ob + b * oa, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Exact |z|^2 = z * conjugate(z)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _norm(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other):
         return self * self.coerce(other).inverse()
@@ -76,31 +102,52 @@ class GaussianRational:
         return self.coerce(other) * self.inverse()
 
     def __eq__(self, other):
-        try:
-            o = self.coerce(other)
-        except TypeError:
+        if not isinstance(other, (GaussianRational, int, Fraction)):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        o = _coerce(other)
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal Fraction or int does
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, the same value as float(Fraction(a, d))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0 or re == 0:
+            return f"{re}" if im == 0 else f"{im}*i"
+        return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
+# the slots' own setters build results past the blocked __setattr__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_coerce = GaussianRational.coerce
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from parts already in lowest terms with d > 0."""
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _norm(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced by the one gcd of its three parts."""
+    g = gcd(a, b, d)
+    return _make(a, b, d) if g == 1 else _make(a // g, b // g, d // g)
 
 
 GR = GaussianRational
@@ -125,6 +172,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        return ExactMatrix, (self.entries,)
+
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls([[ZERO] * cols for _ in range(rows)])
@@ -134,8 +184,7 @@ class ExactMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        return self.entries[ij[0]][ij[1]]
 
     def __add__(self, other):
         self._shape_check(other)
@@ -170,8 +219,7 @@ class ExactMatrix:
         return ExactMatrix([[c * a for a in row] for row in self.entries])
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+        return ExactMatrix(list(zip(*self.entries)))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -210,10 +258,7 @@ class ExactMatrix:
 
 
 def _dot(a: Iterable[GR], b: Iterable[GR]) -> GR:
-    total = ZERO
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
+    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def _rref(m: list[list[GR]], ncols: int) -> dict[int, int]:

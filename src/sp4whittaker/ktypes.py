@@ -116,7 +116,7 @@ def pairing(v: KTypeVector, w: KTypeVector) -> GR:
 _I_POWERS = (ONE, I, -ONE, -I)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def beta_matrix(n: int) -> ExactMatrix:
     """(n+1)x(n+1) matrix B with row i the expansion of (x1+i*x2)^i (x1-i*x2)^(n-i).
 
@@ -133,7 +133,7 @@ def beta_matrix(n: int) -> ExactMatrix:
     return ExactMatrix([[entry(i, n - j) for j in range(n + 1)] for i in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def beta_matrix_inverse(n: int) -> ExactMatrix:
     return beta_matrix(n).inverse()
 

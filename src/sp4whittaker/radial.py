@@ -27,17 +27,13 @@ def _is_exact(c) -> bool:
 def _cadd(a, b):
     if _is_exact(a) and _is_exact(b):
         return a + b
-    return _tocomplex(a) + _tocomplex(b)
+    return complex(a) + complex(b)
 
 
 def _cmul(a, b):
     if _is_exact(a) and _is_exact(b):
         return a * b
-    return _tocomplex(a) * _tocomplex(b)
-
-
-def _tocomplex(c) -> complex:
-    return complex(c) if isinstance(c, GR) else complex(c)
+    return complex(a) * complex(b)
 
 
 def _iszero(c) -> bool:
@@ -142,7 +138,7 @@ class RadialFunction:
         y2 = a1 * a2
         vals = []
         for (p, q, r, w), c in self.terms:
-            v = _tocomplex(c) * y1 ** float(p) * y2 ** float(q)
+            v = complex(c) * y1 ** float(p) * y2 ** float(q)
             if r != 0.0:
                 v *= math.exp(r * y1)
             if w is not None:

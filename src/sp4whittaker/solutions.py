@@ -434,8 +434,12 @@ def radial_system_residual(fam: CoefficientFamily, p: HCParameter,
 # ---------------------------------------------------------------------------
 
 def _euler_symbol(ops: dict, pexp: Fraction, qexp: Fraction) -> GR:
-    """Exact scalar by which an equation term acts on y1^p y2^q (c0 = 0 only)."""
-    tot = GR(0)
+    """Exact scalar by which an equation term acts on y1^p y2^q (c0 = 0 only),
+    summed in ints over the common denominator of the two exponents."""
+    den = math.lcm(pexp.denominator, qexp.denominator)
+    p = pexp.numerator * (den // pexp.denominator)
+    q = qexp.numerator * (den // qexp.denominator)
+    tot = 0
     for kname, c in ops.items():
         if kname == "y1":
             raise AssertionError("the c0 = 0 system has no multiplication terms")
@@ -447,14 +451,8 @@ def _euler_symbol(ops: dict, pexp: Fraction, qexp: Fraction) -> GR:
             if not c.is_integer():
                 raise AssertionError("the c0 = 0 system has integer coefficients")
             c = int(c)
-        cg = GR(c)
-        if kname == "d1":
-            tot = tot + cg * GR(pexp + qexp)
-        elif kname == "d2":
-            tot = tot + cg * GR(qexp - pexp)
-        else:
-            tot = tot + cg
-    return tot
+        tot += c * (p + q if kname == "d1" else q - p if kname == "d2" else den)
+    return GR(Fraction(tot, den))
 
 
 def _block_kernel(eqs: list[dict], shape, parity: int, d: int) -> list[tuple]:

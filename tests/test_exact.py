@@ -1,4 +1,8 @@
+import copy
+import math
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +34,114 @@ def test_gaussian_arithmetic_is_exact():
 def test_conjugation_involution(z):
     assert z.conjugate().conjugate() == z
     assert (z * z.conjugate()).im == 0
+
+
+# reference arithmetic on (re, im) pairs of Fractions, sharing no code with
+# exact.py: z and w are pairs, the result a pair
+def _pair(z):
+    return (z.re, z.im)
+
+
+def _ref_mul(z, w):
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+
+def _ref_inverse(z):
+    n = z[0] * z[0] + z[1] * z[1]
+    return (z[0] / n, -z[1] / n)
+
+
+def _assert_stored(z):
+    a, b, d = z._a, z._b, z._d
+    assert all(type(x) is int for x in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (Fraction(a, d), Fraction(b, d))
+
+
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+wide_parts = st.one_of(st.integers(-10**6, 10**6), wide_rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_parts, wide_parts, wide_parts, wide_parts, wide_parts)
+def test_arithmetic_against_fraction_pairs(a, b, c, e, s):
+    z, w = GR(a, b), GR(c, e)
+    zp, wp = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(e))
+    sp = (Fraction(s), Fraction(0))
+    expected = [
+        (z, zp),
+        (z + w, (zp[0] + wp[0], zp[1] + wp[1])),
+        (z - w, (zp[0] - wp[0], zp[1] - wp[1])),
+        (z + z, (2 * zp[0], 2 * zp[1])),  # equal denominators
+        (z * w, _ref_mul(zp, wp)),
+        (GR(a) * GR(c), (zp[0] * wp[0], 0)),  # both imaginary parts 0
+        (z.conjugate(), (zp[0], -zp[1])),
+        (-z, (-zp[0], -zp[1])),
+        # int and Fraction operands on either side
+        (z + s, (zp[0] + sp[0], zp[1])),
+        (s - z, (sp[0] - zp[0], -zp[1])),
+        (s * z, _ref_mul(sp, zp)),
+        (z * s, _ref_mul(zp, sp)),
+    ]
+    if any(wp):
+        expected += [(w.inverse(), _ref_inverse(wp)),
+                     (z / w, _ref_mul(zp, _ref_inverse(wp))),
+                     (s / w, _ref_mul(sp, _ref_inverse(wp)))]
+    if s:
+        expected.append((z / s, (zp[0] / sp[0], zp[1] / sp[0])))
+    for got, ref in expected:
+        _assert_stored(got)
+        assert _pair(got) == ref
+        assert got == GR(*ref)
+    n = z.norm()
+    assert type(n) is Fraction and n == zp[0] ** 2 + zp[1] ** 2
+    assert (z == w) == (zp == wp)
+    assert complex(z) == complex(float(zp[0]), float(zp[1]))
+
+
+@pytest.mark.parametrize("z, text", [
+    (GR(0), "0"),
+    (GR(7), "7"),
+    (GR(-3), "-3"),
+    (GR(Fraction(-5, 6)), "-5/6"),
+    (GR(0, 1), "1*i"),
+    (GR(0, -1), "-1*i"),
+    (GR(0, Fraction(3, 4)), "3/4*i"),
+    (GR(0, Fraction(-3, 4)), "-3/4*i"),
+    (GR(2, -1), "2-1*i"),
+    (GR(Fraction(1, 3), Fraction(-2, 7)), "1/3-2/7*i"),
+    (GR(Fraction(-1, 2), Fraction(5, 2)), "-1/2+5/2*i"),
+])
+def test_repr_table(z, text):
+    assert repr(z) == text
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 1j, "1/3", Decimal("0.5"), None])
+def test_constructor_takes_only_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        GR(bad)
+    with pytest.raises(TypeError):
+        GR(1, bad)
+
+
+def test_hash_agrees_with_equality():
+    assert GR(1) == 1 and len({GR(1), 1}) == 1
+    assert len({GR(Fraction(2, 3)), Fraction(2, 3)}) == 1
+    for x in (0, 1, -7, Fraction(2, 3), Fraction(-5, 4)):
+        assert hash(GR(x)) == hash(x)
+    assert hash(GR(1, 2)) == hash(GR(Fraction(2, 2), Fraction(4, 2)))
+    assert GR(1, 2) != GR(1) and GR(0, 1) != 1
+
+
+def test_copy_and_pickle_round_trip():
+    z = GR(Fraction(1, 3), Fraction(-2, 7))
+    m = ExactMatrix([[1, I], [z, GR(Fraction(1, 2))]])
+    for x in (z, GR(0), I, m, ExactMatrix([])):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and type(y) is type(x) and repr(y) == repr(x)
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(z))._a = 0
 
 
 def test_inverse_of_zero_rejected():

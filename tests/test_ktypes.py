@@ -140,3 +140,9 @@ def test_beta_matrix_against_sympy_expansion():
             for j in range(n + 1):
                 c = p.coeff_monomial(x1 ** j * x2 ** (n - j))
                 assert b[i, j] == GR(int(sympy.re(c)), int(sympy.im(c))), (n, i, j)
+
+
+def test_beta_caches_are_bounded():
+    from sp4whittaker import ktypes
+    for cached in (ktypes.beta_matrix, ktypes.beta_matrix_inverse):
+        assert cached.cache_info().maxsize is not None
